@@ -11,11 +11,12 @@ Layout:
 - ``functions/`` — pure, process-local kernels (text normalization, geometry
   coercion, layout clustering, text statistics). These are the conformance
   kernels: the single-process oracle and the distributed pipeline share them.
-- ``stages/``    — Ray Data batch transforms (content sniffer, extractor actor,
-  dedup, similarity, multimodal plumbing). Each is a callable suited to
+- ``stages/``    — Ray Data batch transforms (content sniffer, turn extractor,
+  multimodal plumbing). Each is a callable suited to
   ``Dataset.map_batches`` with ``batch_format="pyarrow"``.
 - ``sources/``   — readers and the deterministic transcript synthesizer.
-- ``pipelines/`` — end-to-end plan builders (extraction flagship, analytics).
+- ``pipelines/`` — end-to-end plan builders (extraction flagship and the
+  transcript/document data-prep operators that consume it).
 - ``state/``     — per-partition checkpoint manifests and resume logic.
 
 Nothing in this package calls ``ray.init()`` / ``ray.shutdown()``; sessions are

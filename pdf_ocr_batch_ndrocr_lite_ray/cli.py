@@ -27,7 +27,6 @@ DEFAULTS = {
     "num_cpus": None,  # None → let Ray size to the machine
     "batch_size": None,  # None → whole-block batches
     "order": False,
-    "use_actors": False,
 }
 
 
@@ -141,14 +140,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
             ds.select_columns(keep),
             batch_size=_resolve(args, config, "batch_size"),
             order=bool(_resolve(args, config, "order")),
-            use_actors=bool(_resolve(args, config, "use_actors")),
         )
     else:
         ds = extract_transcripts(
             inputs,
             batch_size=_resolve(args, config, "batch_size"),
             order=bool(_resolve(args, config, "order")),
-            use_actors=bool(_resolve(args, config, "use_actors")),
         )
     # Ray writes fresh unique filenames, so re-running into a dirty
     # directory would MIX stale files from the previous run into the output
@@ -288,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--order", action="store_const", const=True, default=None,
                    help="restore (conv_id, turn_idx) order before writing")
-    p.add_argument("--use-actors", dest="use_actors", action="store_const",
-                   const=True, default=None)
     p.add_argument("--input-format", choices=["parquet", "jsonl"], default="parquet")
     p.add_argument("--output-format", choices=["parquet", "jsonl"], default="parquet")
     p.add_argument("--stats", action="store_true",

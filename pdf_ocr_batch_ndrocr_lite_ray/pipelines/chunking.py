@@ -21,7 +21,6 @@ downstream stages can regroup windows per document.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 

@@ -530,7 +530,6 @@ def connected_components_distributed(
     diameter-many iterations to the min member id per component — the
     same labels the union-find path produces (pinned equal by test).
     """
-    import pyarrow.compute as pc
 
     def both_dirs(t: pa.Table) -> pa.Table:
         a = t["doc_a"].combine_chunks().cast(pa.int64())

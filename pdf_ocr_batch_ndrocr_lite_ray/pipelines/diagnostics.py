@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .exchange import enum_group_sum
+from .exchange import _GROUP_PARTITIONS, enum_group_sum
 from .queryset import register, table_path
 
 DAY_US = 86_400_000_000
@@ -848,7 +848,6 @@ def extract_span_audit(sf_dir: str) -> pd.DataFrame:
     own shuffle-free plan.
     """
     from .extraction import extract_transcripts
-    from .extraction_queries import _spans_str_from_lists
     from .queryset import transcripts_for_sf
 
     cols = {
@@ -1776,7 +1775,7 @@ FROM agg WHERE n > 0 AND sx > 0
 register("user_activity_gini", user_activity_gini, sql=USER_GINI_SQL)
 
 
-_EXCHANGE_PARTS = 64  # mirrors exchange._GROUP_PARTITIONS
+_EXCHANGE_PARTS = _GROUP_PARTITIONS  # the fan-out hash_partitioned uses
 
 
 def exchange_balance_audit(sf_dir: str) -> pd.DataFrame:
@@ -2670,6 +2669,11 @@ register("bot_regularity_audit", bot_regularity_audit, sql=BOT_REGULARITY_SQL)
 BOILERPLATE_LINE_MIN_DOCS = 3  # a line in >= this many distinct docs is boilerplate
 _BP_PLANT_MOD = 4
 _BP_PLANT_LINE = "-- corpus footer v1 --"
+#: edge characters trimmed from every line — the same explicit set on both
+#: engines (str.strip() with no argument also strips other Unicode
+#: whitespace, while DuckDB's trim() with no argument strips spaces only)
+_BP_TRIM_CHARS = " \t\r\u00a0"
+_BP_TRIM_SQL = " || ".join(f"chr({ord(c)})" for c in _BP_TRIM_CHARS)
 
 
 def docs_boilerplate_lines(sf_dir: str) -> pd.DataFrame:
@@ -2687,7 +2691,8 @@ def docs_boilerplate_lines(sf_dir: str) -> pd.DataFrame:
     mirrored verbatim in the SQL twin) — giving the oracle a non-empty
     flagged set.
 
-    Exactness contract: lines are newline splits, whitespace-trimmed;
+    Exactness contract: lines are newline splits, trimmed of
+    ``_BP_TRIM_CHARS`` (space, tab, CR, NBSP) at both edges;
     the key is md5 of the trimmed line (DuckDB-reproducible); counts
     are DISTINCT docs (a line repeated inside one doc counts once);
     ``example_line`` = min() of the trimmed text — deterministic on
@@ -2716,7 +2721,7 @@ def docs_boilerplate_lines(sf_dir: str) -> pd.DataFrame:
             if int(doc) % _BP_PLANT_MOD == 0:
                 text = text + "\n" + _BP_PLANT_LINE
             for line in text.split("\n"):
-                line = line.strip()
+                line = line.strip(_BP_TRIM_CHARS)
                 if not line:
                     continue
                 h = _hashlib.md5(line.encode("utf-8")).hexdigest()
@@ -2787,9 +2792,9 @@ WITH planted AS (
   FROM documents WHERE doc_id IS NOT NULL AND text IS NOT NULL
 ),
 lines AS (
-  SELECT doc_id, trim(u.l) AS line
+  SELECT doc_id, trim(u.l, {_BP_TRIM_SQL}) AS line
   FROM planted, UNNEST(string_split(text, chr(10))) AS u(l)
-  WHERE trim(u.l) != ''
+  WHERE trim(u.l, {_BP_TRIM_SQL}) != ''
 ),
 pairs AS (
   SELECT DISTINCT md5(line) AS line_md5, doc_id,

@@ -3,9 +3,8 @@
 Ray-Data-first shape (SURVEY.md §7):
 
     ray.data.read_parquet(paths, columns=[...])      # prune at the read
-      .map_batches(sniff_batch,  batch_format="pyarrow")   # stateless task
-      .map_batches(TurnExtractor, batch_format="pyarrow",  # actor pool
-                   batch_size=B, concurrency=(m, n), zero_copy_batch=True)
+      .map_batches(extract_batch, batch_format="pyarrow",  # task pool:
+                   zero_copy_batch=True)              # sniff + extract
       .sort(["conv_id", "turn_idx"])                  # order restoration
       .write_parquet(out)                             # streaming sink
 
@@ -19,8 +18,7 @@ Scale notes (100 TB design):
 - batches stay zero-copy Arrow end to end; the extractor materializes only
   the ``text`` column of its own batch.
 - hot conversations need no salting for extraction itself (rows are
-  independent); conversation-level aggregates use the salted partial
-  aggregation in ``pipelines/analytics.py``.
+  independent).
 - wide rows: ``batch_size`` bounds rows per batch; Ray's dynamic block
   splitting bounds block bytes via ``DataContext.target_max_block_size``.
 """
@@ -28,44 +26,14 @@ Scale notes (100 TB design):
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import ray
 import ray.data
 
-from ..stages.extract import TurnExtractor, extract_batch
-from ..stages.sniffer import sniff_batch
-
-# actor-path batch size: 128-row batches cost one actor call per 128 rows
-# (6,183 calls over the sf0.1 bench corpus) and measured 27.4 s vs 22.0 s
-# at 4096; 2048 keeps per-call overhead negligible while a batch stays far
-# under a worker heap even for page-heavy turns
-DEFAULT_BATCH_SIZE = 2048
+from ..stages.extract import extract_batch
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-
-
-def _default_concurrency() -> tuple[int, int]:
-    """FIXED actor-pool size (lo == hi), capped below the CPU total.
-
-    Two measured constraints shape this:
-    - the cap must stay BELOW the CPU count: a pool equal to it starves the
-      upstream read/task operators and deadlocks the streaming executor
-      (observed: concurrency=32 on a 32-CPU node hangs);
-    - the pool must be FIXED, not autoscaling: ramping from a small min one
-      actor at a time dominates short jobs (sf0.1 flagship: autoscaling
-      (6, 24) → 22.8 s; fixed (24, 24) → 15.6 s, at parity with the task
-      pool). On a long job the distinction amortizes away; a fixed pool is
-      never worse.
-    """
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    hi = max(1, cpus - max(2, cpus // 8))
-    return (hi, hi)
 
 
 def package_runtime_env() -> dict:
@@ -73,8 +41,8 @@ def package_runtime_env() -> dict:
 
     Ray workers inherit the driver's cwd but NOT its ``sys.path``; a driver
     that imported this package from a non-cwd location (e.g. via
-    ``sys.path.insert``) would otherwise strand the actor pool in an
-    unpicklable-import restart loop. Shipping the package parent dir on
+    ``sys.path.insert``, or a cwd outside the repo) would otherwise fail
+    every task with ``ModuleNotFoundError``. Shipping the package parent dir on
     ``PYTHONPATH`` makes pipelines location-independent.
     """
     pkg_parent = str(Path(__file__).resolve().parents[2])
@@ -87,74 +55,25 @@ def build_extraction(
     ds: "ray.data.Dataset",
     *,
     batch_size: Union[int, None] = None,
-    concurrency: Union[int, tuple[int, int], None] = None,
     order: bool = False,
-    use_actors: bool = False,
 ) -> "ray.data.Dataset":
-    """Attach the sniff + extract stages (and optional order restore) to ``ds``.
+    """Attach the sniff + extract stage (and optional order restore) to ``ds``.
 
-    Default path is a **task pool** over whole blocks: extraction state is
+    The stage is a **task pool** over whole blocks: extraction state is
     module-level (compiled once per worker process) and task workers are
-    reused across datasets, so there is no per-pipeline actor spin-up and
-    the stage scales to every free CPU. ``use_actors=True`` switches to the
-    ``TurnExtractor`` actor-pool form — the right shape when per-worker
-    state is expensive to build (models, big indexes); its pool is capped
-    below the CPU count so upstream reads never starve (a full-size fixed
-    pool deadlocks the streaming executor).
+    reused across datasets, so there is no per-pipeline spin-up and the
+    stage scales to every free CPU.
     """
-    runtime_env = package_runtime_env()
-    if use_actors:
-        try:
-            cluster_cpus = int(ray.cluster_resources().get("CPU", 0))
-        except Exception:
-            cluster_cpus = 0
-        if concurrency is None:
-            if cluster_cpus == 1:
-                # DEFAULT sizing cannot fit an actor pool beside the read
-                # tasks on a single CPU — degrade to the task-pool path
-                # (same output) instead of making the default unusable; the
-                # loud error below stays for EXPLICIT user-supplied
-                # concurrency, which is a real misconfiguration
-                warnings.warn(
-                    "build_extraction(use_actors=True) on a 1-CPU cluster: "
-                    "falling back to the task-pool path (an actor pool "
-                    "would starve the read stage)",
-                    stacklevel=2,
-                )
-                use_actors = False
-            else:
-                concurrency = _default_concurrency()
-        if use_actors:
-            pool_max = max(concurrency) if isinstance(concurrency, tuple) else concurrency
-            if cluster_cpus and pool_max >= cluster_cpus:
-                # a pool >= the CPU count starves upstream read tasks and
-                # hangs the streaming executor — fail actionably instead
-                raise ValueError(
-                    f"actor pool of {pool_max} on a {cluster_cpus}-CPU cluster "
-                    "would deadlock the streaming executor — lower concurrency "
-                    "or use the task-pool path (use_actors=False)"
-                )
-    if use_actors:
-        ds = ds.map_batches(sniff_batch, batch_format="pyarrow", runtime_env=runtime_env)
-        return_ds = ds.map_batches(
-            TurnExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
-            concurrency=concurrency,
-            zero_copy_batch=True,
-            runtime_env=runtime_env,
-        )
-    else:
-        return_ds = ds.map_batches(
-            extract_batch,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            runtime_env=runtime_env,
-        )
+    out = ds.map_batches(
+        extract_batch,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        zero_copy_batch=True,
+        runtime_env=package_runtime_env(),
+    )
     if order:
-        return_ds = return_ds.sort(["conv_id", "turn_idx"])
-    return return_ds
+        out = out.sort(["conv_id", "turn_idx"])
+    return out
 
 
 def extract_transcripts(
@@ -162,9 +81,7 @@ def extract_transcripts(
     *,
     columns: Optional[Sequence[str]] = None,
     batch_size: Union[int, None] = None,
-    concurrency: Union[int, tuple[int, int], None] = None,
     order: bool = False,
-    use_actors: bool = False,
     override_num_blocks: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Read transcript parquet and run the extraction pipeline (lazy).
@@ -202,10 +119,4 @@ def extract_transcripts(
         columns=wanted,
         override_num_blocks=override_num_blocks,
     )
-    return build_extraction(
-        ds,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        order=order,
-        use_actors=use_actors,
-    )
+    return build_extraction(ds, batch_size=batch_size, order=order)

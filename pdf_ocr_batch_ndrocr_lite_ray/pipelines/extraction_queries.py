@@ -32,7 +32,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..stages.sniffer import SNIFF_PREFIX_BYTES, classify_text_array, sniff_batch
+from ..stages.sniffer import SNIFF_PREFIX_BYTES, classify_text_array
 from .extraction import extract_transcripts
 from .queryset import (
     MATERIALIZERS,

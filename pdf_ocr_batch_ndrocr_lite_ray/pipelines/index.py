@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 import ray.data
 

@@ -273,10 +273,6 @@ def _payload_with_family(rng: random.Random) -> tuple[str, str]:
     return _garbage_payload(rng), "garbage"
 
 
-def _payload(rng: random.Random) -> str:
-    return _payload_with_family(rng)[0]
-
-
 def expected_action(text: str, family: str) -> str:
     """Expected extraction action for a generated turn, derived from
     construction knowledge — NOT from running the structured extractors.

@@ -17,19 +17,20 @@ This is the engine's analog of the reference's per-file pipeline
   1306-1323).
 
 ``extract_turn`` is pure and shared verbatim by the single-process oracle;
-``TurnExtractor`` is the stateful ``map_batches`` actor class (regex tables
-and parser state are built once per worker at import/``__init__`` — the
+``extract_batch`` is the ``map_batches`` task callable (regex tables and
+parser state are built once per worker process at import — the
 reference's load-once pattern, app.py:2054-2095).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import pyarrow as pa
 
 from ..functions.layout import assemble_layout_text, dedup_blocks, dedup_boxes
-from ..functions.textnorm import RowBudgetExceeded, normalize_text, set_row_deadline
+from ..functions.textnorm import RowBudgetExceeded, set_row_deadline
 from .domstrip import extract_html_main_content
 from .paged import PAGE_SEP, extract_paged_turn, infer_page_count
 from .payload import parse_pdfish_payload
@@ -228,71 +229,48 @@ register_extractor(KIND_HTML, extract_html)
 register_extractor(KIND_PLAIN, extract_plain)
 
 
-_TASK_EXTRACTORS: dict[str, "TurnExtractor"] = {}
+@functools.cache
+def _pin_arrow_to_one_cpu() -> None:
+    """Once per worker process: one logical CPU per Ray task. Arrow kernels
+    otherwise fan out on an internal pool sized to the machine, silently
+    oversubscribing small clusters (and skewing per-CPU accounting)."""
+    pa.set_cpu_count(1)
 
 
 def extract_batch(batch: pa.Table, text_column: str = "text") -> pa.Table:
-    """Task-pool form of the extractor: sniff + route + extract in one pass.
+    """Sniff + route + extract one zero-copy Arrow batch, per-row isolated.
 
     Stateless from Ray's perspective, so it runs on the shared task worker
     pool (warm processes reused across datasets/stages — no per-dataset
     actor startup). The heavy state (compiled regex tables, parser
-    machinery) is module-level, loaded once per worker process: the same
-    load-once-per-worker guarantee as the actor path (reference pattern
-    app.py:2054-2095), without paying actor spin-up on every pipeline.
-    Use the ``TurnExtractor`` actor-pool path instead when per-worker state
-    is genuinely expensive (models, large indexes).
+    machinery) is module-level, loaded once per worker process (reference
+    pattern app.py:2054-2095). A batch that already carries
+    ``content_kind`` keeps it; otherwise the sniffer classifies it here.
     """
-    ext = _TASK_EXTRACTORS.get(text_column)
-    if ext is None:
-        # one logical CPU per Ray task: Arrow kernels otherwise fan out on
-        # an internal pool sized to the machine, silently oversubscribing
-        # small clusters (and skewing per-CPU accounting)
-        pa.set_cpu_count(1)
-        ext = _TASK_EXTRACTORS.setdefault(text_column, TurnExtractor(text_column))
-    return ext(batch)
+    _pin_arrow_to_one_cpu()
+    if "content_kind" in batch.column_names:
+        kinds_arr = batch["content_kind"]
+    else:
+        kinds_arr = classify_text_array(batch[text_column])
+        batch = batch.append_column("content_kind", kinds_arr)
 
+    texts = batch[text_column].to_pylist()
+    kinds = kinds_arr.to_pylist()
 
-class TurnExtractor:
-    """Stateful ``map_batches`` callable: extraction over zero-copy Arrow batches.
+    extracted: list[str] = []
+    spans_col: list[list[dict]] = []
+    actions: list[str] = []
+    errors: list[str] = []
+    for text, kind in zip(texts, kinds):
+        ext, spans, action, error = extract_turn(text, kind)
+        extracted.append(ext)
+        spans_col.append([{"start": s, "end": e, "kind": k} for s, e, k in spans])
+        actions.append(action)
+        errors.append(error)
 
-    Use as::
-
-        ds.map_batches(TurnExtractor, batch_format="pyarrow",
-                       batch_size=B, concurrency=(m, n), zero_copy_batch=True)
-
-    All heavy state (compiled regex tables, parser machinery) lives at module
-    scope, loaded once per worker process; ``__call__`` does per-row routing
-    with per-item error isolation.
-    """
-
-    def __init__(self, text_column: str = "text") -> None:
-        self.text_column = text_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if "content_kind" in batch.column_names:
-            kinds_arr = batch["content_kind"]
-        else:
-            kinds_arr = classify_text_array(batch[self.text_column])
-            batch = batch.append_column("content_kind", kinds_arr)
-
-        texts = batch[self.text_column].to_pylist()
-        kinds = kinds_arr.to_pylist()
-
-        extracted: list[str] = []
-        spans_col: list[list[dict]] = []
-        actions: list[str] = []
-        errors: list[str] = []
-        for text, kind in zip(texts, kinds):
-            ext, spans, action, error = extract_turn(text, kind)
-            extracted.append(ext)
-            spans_col.append([{"start": s, "end": e, "kind": k} for s, e, k in spans])
-            actions.append(action)
-            errors.append(error)
-
-        return (
-            batch.append_column("extracted_text", pa.array(extracted, type=pa.string()))
-            .append_column("spans", pa.array(spans_col, type=SPANS_TYPE))
-            .append_column("action", pa.array(actions, type=pa.string()))
-            .append_column("error", pa.array(errors, type=pa.string()))
-        )
+    return (
+        batch.append_column("extracted_text", pa.array(extracted, type=pa.string()))
+        .append_column("spans", pa.array(spans_col, type=SPANS_TYPE))
+        .append_column("action", pa.array(actions, type=pa.string()))
+        .append_column("error", pa.array(errors, type=pa.string()))
+    )

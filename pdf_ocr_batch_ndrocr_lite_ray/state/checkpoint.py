@@ -118,7 +118,6 @@ def run_resumable_extraction(
     out_dir: Union[str, Path],
     *,
     batch_size: int | None = None,
-    concurrency: Union[int, tuple[int, int], None] = None,
     max_partitions: Optional[int] = None,
     on_conflict: str = "overwrite",
     wave_size: Optional[int] = None,
@@ -164,6 +163,10 @@ def run_resumable_extraction(
             shutil.rmtree(pdir)
 
     if remaining:
+        # every task below imports this package on a worker; ship its
+        # location so a driver whose cwd is not the repo root still works
+        runtime_env = package_runtime_env()
+        count_remote = _count_partition_remote.options(runtime_env=runtime_env)
         wave = wave_size or _default_wave_size()
         run_started = time.monotonic()
         run_rows = 0
@@ -175,9 +178,9 @@ def run_resumable_extraction(
             ds = ds.map_batches(
                 _add_part_id_column,
                 batch_format="pyarrow",
-                runtime_env=package_runtime_env(),
+                runtime_env=runtime_env,
             )
-            ds = build_extraction(ds, batch_size=batch_size, concurrency=concurrency)
+            ds = build_extraction(ds, batch_size=batch_size)
             ds.write_parquet(str(out_dir / DATA_SUBDIR), partition_cols=["part_id"])
 
             # commit: manifests written AFTER this wave's data is durable,
@@ -188,9 +191,7 @@ def run_resumable_extraction(
             # scan of the wave's output. Raw tasks, not a Dataset job:
             # per-wave pipeline startup would dwarf these footer-sized reads.
             count_refs = [
-                _count_partition_remote.remote(
-                    str(_partition_dir(out_dir, pid)), path
-                )
+                count_remote.remote(str(_partition_dir(out_dir, pid)), path)
                 for pid, path in batch_frags
             ]
             for (pid, path), (actions, input_rows) in zip(
@@ -236,13 +237,15 @@ def run_resumable_extraction(
     return report
 
 
-@ray.remote(num_cpus=0.5)
+@ray.remote(num_cpus=1)
 def _count_partition_remote(partition_dir: str, input_path: str) -> tuple[dict, int]:
     """(action counts of the durable partition output, input fragment rows).
 
     Counters derive from what was actually WRITTEN (correct across retries
     and partial failures) — never from driver-side accumulation. num_cpus
-    0.5: footer + single-column scans, I/O-bound, pack two per core.
+    1: these tasks carry the extract tasks' runtime env, so at one per CPU
+    they reuse the wave's idle extract workers; at 0.5 each the pool needs
+    twice as many workers, each holding the imported package.
     """
     return (
         dict(_count_actions(Path(partition_dir))),

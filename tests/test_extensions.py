@@ -3543,27 +3543,6 @@ class TestOracleRetargeting:
             ), name
 
 
-class TestExtractionSingleCpuFallback:
-    def test_default_actor_sizing_degrades_on_one_cpu(self, ray_session, monkeypatch):
-        """use_actors=True with DEFAULT sizing on a 1-CPU cluster warns and
-        takes the task-pool path instead of raising (ADVICE r4); explicit
-        concurrency keeps the loud error."""
-        import ray as _ray
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import extraction
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import transcripts_for_sf
-
-        monkeypatch.setattr(
-            _ray, "cluster_resources", lambda: {"CPU": 1.0}, raising=True
-        )
-        path = transcripts_for_sf(SF)
-        with pytest.warns(UserWarning, match="task-pool"):
-            ds = extraction.extract_transcripts(path, use_actors=True)
-        assert ds.count() > 0
-        with pytest.raises(ValueError, match="deadlock"):
-            extraction.extract_transcripts(path, use_actors=True, concurrency=4)
-
-
 class TestRandomizedCorpusParity:
     """Randomized (seeded) corpora through the FULL Ray pipelines vs
     DuckDB — breadth beyond the hand-built nasty fixtures for the ops

@@ -37,7 +37,7 @@ class TestGoldenPipeline:
 
         golden = oracle_extract_parquet(tiny_transcripts)
         ours = extract_transcripts(
-            str(tiny_transcripts), concurrency=2, batch_size=32, order=True
+            str(tiny_transcripts), batch_size=32, order=True
         ).to_arrow_refs()
         import ray
 
@@ -100,8 +100,8 @@ class TestGoldenPipeline:
         """Results must not depend on batching (block boundaries)."""
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import extract_transcripts
 
-        a = extract_transcripts(str(tiny_transcripts), concurrency=1, batch_size=7).take_all()
-        b = extract_transcripts(str(tiny_transcripts), concurrency=2, batch_size=512).take_all()
+        a = extract_transcripts(str(tiny_transcripts), batch_size=7).take_all()
+        b = extract_transcripts(str(tiny_transcripts), batch_size=512).take_all()
         key = lambda r: (r["conv_id"], r["turn_idx"])
         a, b = sorted(a, key=key), sorted(b, key=key)
         assert [r["extracted_text"] for r in a] == [r["extracted_text"] for r in b]
@@ -173,14 +173,14 @@ class TestResume:
 
         # uninterrupted run
         full_dir = tmp_path / "full"
-        report_full = run_resumable_extraction(paths, full_dir, concurrency=2)
+        report_full = run_resumable_extraction(paths, full_dir)
         assert report_full["partitions_committed"] == 4
 
         # killed after 2 partitions, then resumed
         resume_dir = tmp_path / "resumed"
-        report_k = run_resumable_extraction(paths, resume_dir, concurrency=2, max_partitions=2)
+        report_k = run_resumable_extraction(paths, resume_dir, max_partitions=2)
         assert report_k["partitions_committed"] == 2
-        report_r = run_resumable_extraction(paths, resume_dir, concurrency=2)
+        report_r = run_resumable_extraction(paths, resume_dir)
         assert report_r["partitions_committed"] == 4
         assert report_r["partitions_skipped_resume"] == 2
 
@@ -218,8 +218,8 @@ class TestResume:
 
         paths = self._write_shards(tmp_path, n_shards=2)
         out = tmp_path / "out"
-        run_resumable_extraction(paths, out, concurrency=2)
-        report = run_resumable_extraction(paths, out, concurrency=2)
+        run_resumable_extraction(paths, out)
+        report = run_resumable_extraction(paths, out)
         assert report["partitions_skipped_resume"] == 2
         assert report["partitions_committed"] == 2
 
@@ -232,14 +232,63 @@ class TestResume:
 
         paths = self._write_shards(tmp_path, n_shards=3)
         out = tmp_path / "out"
-        run_resumable_extraction(paths, out, concurrency=2, max_partitions=1)
-        run_resumable_extraction(paths, out, concurrency=2)
+        run_resumable_extraction(paths, out, max_partitions=1)
+        run_resumable_extraction(paths, out)
 
         golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
         ours = pa.concat_tables(
             [ray.get(r) for r in read_extracted(out).to_arrow_refs()]
         )
         _assert_tables_equal(ours, golden)
+
+    def test_resume_from_outside_repo_root(self, tmp_path):
+        """A driver script run from outside the repo, importing the package
+        through its own ``sys.path``, must still checkpoint and resume:
+        Ray workers get the driver's cwd and script dir, not its
+        ``sys.path``, so every task the run ships (extract AND manifest
+        counting) needs the package runtime env."""
+        import json
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            sys.path.insert(0, {str(repo)!r})
+            import ray
+            from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+                run_resumable_extraction,
+            )
+            ray.init(address="local", num_cpus=1, include_dashboard=False)
+            try:
+                run_resumable_extraction({paths!r}, "out", max_partitions=1)
+                print(json.dumps(run_resumable_extraction({paths!r}, "out")))
+            finally:
+                ray.shutdown()
+            """
+        )
+        env = {
+            k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["partitions_committed"] == 2
+        assert report["partitions_skipped_resume"] == 1
+        golden_rows = sum(oracle_extract_parquet(p).num_rows for p in paths)
+        assert report["rows"] == golden_rows
 
 
 class TestWaveCommit:
@@ -270,7 +319,7 @@ class TestWaveCommit:
 
         out = tmp_path / "out"
         with pytest.raises(Exception):
-            run_resumable_extraction(paths, out, concurrency=2, wave_size=2)
+            run_resumable_extraction(paths, out, wave_size=2)
 
         # wave 1 (shards 0+1) committed before the crash
         done = completed_partitions(out)
@@ -283,7 +332,7 @@ class TestWaveCommit:
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import write_transcripts
 
         write_transcripts(bad, n_convs=3, seed=13, first_conv=6)
-        report = run_resumable_extraction(paths, out, concurrency=2, wave_size=2)
+        report = run_resumable_extraction(paths, out, wave_size=2)
         assert report["partitions_skipped_resume"] == 2
         assert report["partitions_committed"] == 4
 
@@ -296,8 +345,8 @@ class TestWaveCommit:
 
         paths = self._write_shards(tmp_path, n_shards=3)
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_resumable_extraction(paths, a_dir, concurrency=2, wave_size=1)
-        run_resumable_extraction(paths, b_dir, concurrency=2, wave_size=8)
+        run_resumable_extraction(paths, a_dir, wave_size=1)
+        run_resumable_extraction(paths, b_dir, wave_size=8)
         a = pa.concat_tables([ray.get(r) for r in read_extracted(a_dir).to_arrow_refs()])
         b = pa.concat_tables([ray.get(r) for r in read_extracted(b_dir).to_arrow_refs()])
         _assert_tables_equal(a, b)

@@ -5,7 +5,9 @@ embedded in an oracle string. These fuzzes evaluate BOTH sides over
 hundreds of random inputs at the FUNCTION level (no Ray, no corpus), so a
 DuckDB upgrade or a helper edit that moves any contract fails loudly and
 points at the exact expression — the same role the quantile-interpolation
-fuzz plays for the float contracts.
+fuzz plays for the float contracts. Where the contract lives inside an
+operator's per-row loop (line trimming), the fuzz runs the operator on a
+small adversarial table instead.
 """
 
 from __future__ import annotations
@@ -140,3 +142,49 @@ class TestTruncatingDivisionTwin:
             if v < 0 and v - q * WEEK_US != 0:
                 q += 1  # the engine's trunc correction (windows.per_user)
             assert q == sql_wk, v
+
+
+class TestBoilerplateTrimTwin:
+    def test_crlf_tab_nbsp_lines_match_duckdb(self, ray_session, tmp_path, con):
+        """docs_boilerplate_lines vs its DuckDB twin on lines whose edges
+        carry CR (CRLF endings), tabs and NBSP: both engines must trim the
+        same character set, or one line hashes to two keys."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import diagnostics
+
+        rng = np.random.default_rng(29)
+        edges = ["", " ", "\t", "\r", "\u00a0", " \t", "\u00a0\r"]
+        lines = ["nav home about", "cookie banner ok", "footer (c) 2024"]
+        texts = []
+        for i in range(40):
+            body = []
+            for line in lines:
+                if rng.random() < 0.7:
+                    left, right = rng.choice(edges, size=2)
+                    body.append(f"{left}{line}{right}")
+            body.append(f"unique body text {i}")
+            texts.append("\r\n".join(body) if i % 2 else "\n".join(body))
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(1, len(texts) + 1), type=pa.int64()),
+                    "text": pa.array(texts),
+                }
+            ),
+            tmp_path / "documents.parquet",
+        )
+        con.execute(
+            "CREATE OR REPLACE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{tmp_path}/documents.parquet')"
+        )
+        ours = diagnostics.docs_boilerplate_lines(str(tmp_path))
+        gold = con.execute(diagnostics.DOCS_BOILERPLATE_LINES_SQL).df()
+        key = ["line_md5"]
+        ours = ours.sort_values(key).reset_index(drop=True)
+        gold = gold.sort_values(key).reset_index(drop=True)
+        assert len(ours) == len(gold) >= len(lines)
+        assert ours["line_md5"].tolist() == gold["line_md5"].tolist()
+        assert ours["n_docs"].tolist() == gold["n_docs"].astype("int64").tolist()
+        assert ours["example_line"].tolist() == gold["example_line"].tolist()
