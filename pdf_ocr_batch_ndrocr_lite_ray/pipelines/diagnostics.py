@@ -30,6 +30,28 @@ from .queryset import register, table_path
 DAY_US = 86_400_000_000
 
 
+def _floor_div(ts, unit_us: int) -> pa.Array:
+    """Timestamps as int64 µs, floor-divided into ``unit_us`` buckets: a
+    pre-1970 instant lands in the bucket that starts before it, not in the
+    one nearer zero (``pc.divide`` truncates)."""
+    us = pc.cast(ts, pa.int64())
+    if isinstance(us, pa.ChunkedArray):
+        us = us.combine_chunks()
+    return pa.array(us.to_numpy(zero_copy_only=False) // unit_us, type=pa.int64())
+
+
+def _floor_div_sql(expr: str, unit: int) -> str:
+    """DuckDB twin of ``_floor_div``: DuckDB's ``//`` truncates toward
+    zero, so a negative remainder takes one off the quotient."""
+    return f"(({expr}) // {unit} - CAST(({expr}) % {unit} < 0 AS BIGINT))"
+
+
+def _mod_sql(expr: str, m: int) -> str:
+    """Non-negative ``expr`` mod ``m``, as numpy's ``%`` computes it
+    (DuckDB's ``%`` takes the sign of the dividend)."""
+    return f"((({expr}) % {m} + {m}) % {m})"
+
+
 def _empty(cols: dict[str, str]) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
 
@@ -42,7 +64,7 @@ def _events_daily_counts(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["ts"]), pc.is_valid(batch["event_type"]))
         t = batch.filter(keep)
-        days = pc.divide(pc.cast(t["ts"], pa.int64()), DAY_US)
+        days = _floor_div(t["ts"], DAY_US)
         g = (
             pa.table({"t": t["event_type"], "day": days})
             .group_by(["t", "day"])
@@ -126,9 +148,9 @@ def events_changepoint_cusum(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows).astype(cols)
 
 
-EVENTS_CUSUM_SQL = """
+EVENTS_CUSUM_SQL = f"""
 WITH f AS (
-  SELECT event_type AS t, epoch_us(ts) // 86400000000 AS day FROM events
+  SELECT event_type AS t, {_floor_div_sql("epoch_us(ts)", DAY_US)} AS day FROM events
   WHERE ts IS NOT NULL AND event_type IS NOT NULL
 ),
 g AS (SELECT t, day, count(*) AS n FROM f GROUP BY 1, 2),
@@ -1397,9 +1419,10 @@ def events_dow_seasonality(sf_dir: str) -> pd.DataFrame:
     weekday-aware sampling"). Complements the hour-of-day family
     (events_hourly, type×hour chi²/MI) on the week axis.
 
-    Exactness contract: dow = (epoch_day + 3) % 7 computed from the
-    integer epoch day on BOTH engines (0 = Monday; no timezone or
-    locale dependence); counts are exact; share_e6 is one IEEE divide;
+    Exactness contract: dow = (epoch_day + 3) mod 7 computed from the
+    floored integer epoch day with a non-negative modulo on BOTH engines
+    (0 = Monday, pre-1970 days included; no timezone or locale
+    dependence); counts are exact; share_e6 is one IEEE divide;
     TVD = ½ Σ_d |7·n_d − N| / (7N) folds the exact integer numerator
     first and divides once (same row value repeated across the type's
     7 rows).
@@ -1414,12 +1437,8 @@ def events_dow_seasonality(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["ts"]), pc.is_valid(batch["event_type"]))
         t = batch.filter(keep)
-        days = pc.divide(pc.cast(t["ts"], pa.int64()), DAY_US)
-        if isinstance(days, pa.ChunkedArray):
-            days = days.combine_chunks()
-        dow = pa.array(
-            (days.to_numpy(zero_copy_only=False) + 3) % 7, type=pa.int64()
-        )
+        days = _floor_div(t["ts"], DAY_US)
+        dow = pa.array((days.to_numpy() + 3) % 7, type=pa.int64())
         g = (
             pa.table({"t": t["event_type"], "dow": dow})
             .group_by(["t", "dow"])
@@ -1459,10 +1478,11 @@ def events_dow_seasonality(sf_dir: str) -> pd.DataFrame:
 def _events_dow_sql() -> str:
     # window-over-aggregate mixing is awkward inline; spell the TVD fold
     # as a second pass over the dense grid
-    return """
+    day = _floor_div_sql("epoch_us(ts)", DAY_US)
+    return f"""
 WITH f AS (
   SELECT event_type AS t,
-         (epoch_us(ts) // 86400000000 + 3) % 7 AS dow
+         {_mod_sql(day + " + 3", 7)} AS dow
   FROM events WHERE ts IS NOT NULL AND event_type IS NOT NULL
 ),
 grid AS (
@@ -2458,7 +2478,7 @@ def shipment_completeness(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.is_valid(batch["l_shipdate"])
         t = batch.filter(keep)
-        days = pc.divide(pc.cast(t["l_shipdate"], pa.int64()), DAY_US)
+        days = _floor_div(t["l_shipdate"], DAY_US)
         g = (
             pa.table({"day": days})
             .group_by(["day"])
@@ -2935,7 +2955,7 @@ def _events_minute_counts(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["ts"]), pc.is_valid(batch["event_type"]))
         t = batch.filter(keep)
-        mins = pc.divide(pc.cast(t["ts"], pa.int64()), MINUTE_US)
+        mins = _floor_div(t["ts"], MINUTE_US)
         g = (
             pa.table({"t": t["event_type"], "m": mins})
             .group_by(["t", "m"])
@@ -3005,7 +3025,7 @@ def events_burst_windows(sf_dir: str) -> pd.DataFrame:
 
 EVENTS_BURST_SQL = f"""
 WITH f AS (
-  SELECT event_type AS t, epoch_us(ts) // {MINUTE_US} AS m FROM events
+  SELECT event_type AS t, {_floor_div_sql("epoch_us(ts)", MINUTE_US)} AS m FROM events
   WHERE ts IS NOT NULL AND event_type IS NOT NULL
 ),
 g AS (SELECT t, m, count(*) AS n FROM f GROUP BY 1, 2),
@@ -3216,7 +3236,7 @@ def events_dispersion_index(sf_dir: str) -> pd.DataFrame:
 
 EVENTS_DISPERSION_SQL = f"""
 WITH f AS (
-  SELECT event_type AS t, epoch_us(ts) // {MINUTE_US} AS m FROM events
+  SELECT event_type AS t, {_floor_div_sql("epoch_us(ts)", MINUTE_US)} AS m FROM events
   WHERE ts IS NOT NULL AND event_type IS NOT NULL
 ),
 g AS (SELECT t, m, count(*) AS n FROM f GROUP BY 1, 2),
@@ -3357,7 +3377,7 @@ def user_stickiness(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["user_id"]), pc.is_valid(batch["ts"]))
         t = batch.filter(keep)
-        hours = pc.divide(pc.cast(t["ts"], pa.int64()), HOUR_US)
+        hours = _floor_div(t["ts"], HOUR_US)
         g = (
             pa.table({"u": t["user_id"], "h": hours})
             .group_by(["u", "h"])
@@ -3412,8 +3432,8 @@ def user_stickiness(sf_dir: str) -> pd.DataFrame:
 
 USER_STICKINESS_SQL = f"""
 WITH f AS (
-  SELECT user_id AS u, epoch_us(ts) // {HOUR_US} AS h,
-         epoch_us(ts) // {HOUR_US} // 24 AS day
+  SELECT user_id AS u, {_floor_div_sql("epoch_us(ts)", HOUR_US)} AS h,
+         {_floor_div_sql("epoch_us(ts)", DAY_US)} AS day
   FROM events WHERE user_id IS NOT NULL AND ts IS NOT NULL
 ),
 hau AS (
@@ -3443,7 +3463,8 @@ def type_hour_profile_similarity(sf_dir: str) -> pd.DataFrame:
     capacity plan; a low-cosine pair needs separate provisioning.
 
     Exactness contract: the profile is the exact integer 24-vector of
-    hour-of-day counts (hour = epoch_hour % 24, timezone-free);
+    hour-of-day counts (hour = floored epoch_hour mod 24, non-negative
+    before 1970 too, timezone-free);
     cosine = Σab / sqrt(Σa²·Σb²) is computed from exact integer sums
     through ONE shared IEEE sqrt/divide chain per pair, e6-floored.
     Zero-vector types cannot occur (a type present has ≥ 1 count);
@@ -3457,12 +3478,8 @@ def type_hour_profile_similarity(sf_dir: str) -> pd.DataFrame:
     def partial(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch["ts"]), pc.is_valid(batch["event_type"]))
         t = batch.filter(keep)
-        hours = pc.divide(pc.cast(t["ts"], pa.int64()), HOUR_US)
-        if isinstance(hours, pa.ChunkedArray):
-            hours = hours.combine_chunks()
-        hod = pa.array(
-            hours.to_numpy(zero_copy_only=False) % 24, type=pa.int64()
-        )
+        hours = _floor_div(t["ts"], HOUR_US)
+        hod = pa.array(hours.to_numpy() % 24, type=pa.int64())
         g = (
             pa.table({"t": t["event_type"], "h": hod})
             .group_by(["t", "h"])
@@ -3507,7 +3524,8 @@ def type_hour_profile_similarity(sf_dir: str) -> pd.DataFrame:
 
 TYPE_HOUR_COSINE_SQL = f"""
 WITH f AS (
-  SELECT event_type AS t, (epoch_us(ts) // {HOUR_US}) % 24 AS h
+  SELECT event_type AS t,
+         {_mod_sql(_floor_div_sql("epoch_us(ts)", HOUR_US), 24)} AS h
   FROM events WHERE ts IS NOT NULL AND event_type IS NOT NULL
 ),
 g AS (SELECT t, h, CAST(count(*) AS HUGEINT) AS n FROM f GROUP BY 1, 2),
@@ -3645,7 +3663,7 @@ def tax_rate_periods(sf_dir: str) -> pd.DataFrame:
             ),
             pa.int64(),
         )
-        days = pc.divide(pc.cast(t["l_shipdate"], pa.int64()), DAY_US)
+        days = _floor_div(t["l_shipdate"], DAY_US)
         g = (
             pa.table({"tax": tax, "lo": days, "hi": days, "n": days})
             .group_by(["tax"])
@@ -3674,13 +3692,14 @@ def tax_rate_periods(sf_dir: str) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
-TAX_RATE_PERIODS_SQL = """
+_SHIP_DAY_SQL = _floor_div_sql("epoch_us(l_shipdate)", DAY_US)
+
+TAX_RATE_PERIODS_SQL = f"""
 SELECT CAST(round(l_tax * 100.0, 0) AS BIGINT) AS tax_e2,
        CAST(count(*) AS BIGINT) AS n_lines,
-       CAST(min(epoch_us(l_shipdate) // 86400000000) AS BIGINT) AS first_day,
-       CAST(max(epoch_us(l_shipdate) // 86400000000) AS BIGINT) AS last_day,
-       CAST(max(epoch_us(l_shipdate) // 86400000000)
-            - min(epoch_us(l_shipdate) // 86400000000) AS BIGINT)
+       CAST(min({_SHIP_DAY_SQL}) AS BIGINT) AS first_day,
+       CAST(max({_SHIP_DAY_SQL}) AS BIGINT) AS last_day,
+       CAST(max({_SHIP_DAY_SQL}) - min({_SHIP_DAY_SQL}) AS BIGINT)
          AS span_days
 FROM lineitem
 WHERE l_tax IS NOT NULL AND l_shipdate IS NOT NULL

@@ -8,13 +8,25 @@ Ray-Data-first shape (SURVEY.md §7):
       .sort(["conv_id", "turn_idx"])                  # order restoration
       .write_parquet(out)                             # streaming sink
 
+Order restoration (``order=True``) runs the global sort only when the
+Parquet footers cannot prove that the input is already range-partitioned.
+When every fragment has complete ``conv_id`` statistics, the fragments'
+ranges are disjoint, and each read task's whole fragments fit one read
+block, the pipeline instead reads the fragments in range order, sorts each
+read block before extraction and emits blocks in order (``preserve_order``
+on the dataset's own context). Extraction is 1:1 and keeps row order, so
+the output equals the globally sorted output without an all-to-all
+exchange: the *Hyper Dimension Shuffle* rule, never repartition data that
+is already partitioned correctly.
+
 Scale notes (100 TB design):
 
 - per-turn extraction is embarrassingly parallel: NO shuffle is needed until
   order restoration. The only all-to-all exchange in the whole pipeline is
-  the optional final sort, and equality under the conformance contract is
-  defined *after* canonical ordering — consumers that don't need physical
-  order skip it (``order=False``) and pay zero shuffles.
+  that global sort, and it runs only when the footers cannot prove order;
+  equality under the conformance contract is defined *after* canonical
+  ordering — consumers that don't need physical order skip it
+  (``order=False``).
 - batches stay zero-copy Arrow end to end; the extractor materializes only
   the ``text`` column of its own batch.
 - hot conversations need no salting for extraction itself (rows are
@@ -25,15 +37,28 @@ Scale notes (100 TB design):
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..stages.extract import extract_batch
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+ORDER_KEYS = ["conv_id", "turn_idx"]
+
+# Decoded fragments can take more memory than their footers' uncompressed
+# size (offset buffers, dictionary pages expanded to dense strings), so a
+# read task skips the global sort only if this multiple of its fragments'
+# footer size fits one block.
+_DECODE_MARGIN = 2
 
 
 def package_runtime_env() -> dict:
@@ -72,8 +97,110 @@ def build_extraction(
         runtime_env=package_runtime_env(),
     )
     if order:
-        out = out.sort(["conv_id", "turn_idx"])
+        out = out.sort(ORDER_KEYS)
     return out
+
+
+def _fragments_in_range_order(
+    paths: Sequence[str], columns: Sequence[str]
+) -> Optional[list[tuple]]:
+    """``(first conv_id, path, rows, bytes)`` per fragment in ``conv_id``
+    order, or ``None`` unless the Parquet footers prove that the fragments
+    hold pairwise disjoint ``conv_id`` ranges.
+
+    The proof needs min/max statistics with zero nulls for both order keys
+    on every row group. Across fragments sorted by minimum, each maximum
+    must lie strictly below the next minimum: a conversation on a shared
+    boundary could be split between two blocks. ``bytes`` is the footer's
+    uncompressed size of the ``columns`` read.
+    """
+    if not all(os.path.isfile(p) for p in paths):
+        return None
+    ranges = []
+    for path in paths:
+        try:
+            meta = pq.read_metadata(path)
+        except (OSError, pa.ArrowException):
+            return None
+        names = [meta.schema.column(j).path for j in range(meta.num_columns)]
+        if meta.num_rows == 0 or not set(ORDER_KEYS) <= set(names):
+            return None
+        lo = hi = None
+        size = 0
+        for i in range(meta.num_row_groups):
+            group = meta.row_group(i)
+            for j, name in enumerate(names):
+                chunk = group.column(j)
+                if name in columns:
+                    size += chunk.total_uncompressed_size
+                if name not in ORDER_KEYS:
+                    continue
+                stats = chunk.statistics
+                if (
+                    stats is None
+                    or not stats.has_min_max
+                    or not stats.has_null_count
+                    or stats.null_count != 0
+                ):
+                    return None
+                if name == "conv_id":
+                    lo = stats.min if lo is None else min(lo, stats.min)
+                    hi = stats.max if hi is None else max(hi, stats.max)
+        ranges.append((lo, hi, path, meta.num_rows, size))
+    ranges.sort(key=lambda r: r[0])
+    if any(a[1] >= b[0] for a, b in zip(ranges, ranges[1:])):
+        return None
+    return [(lo, path, rows, size) for lo, _, path, rows, size in ranges]
+
+
+def _read_groups(
+    fragments: list[tuple], block_bytes: Optional[int], num_blocks: Optional[int]
+) -> Optional[list[list[int]]]:
+    """Fragment indices per read task, split as Ray splits a file list over
+    ``num_blocks`` tasks, or ``None`` if some task's fragments might not fit
+    one block of ``block_bytes`` (Ray would then cut a fragment in two).
+
+    Without ``num_blocks``, use one task per cluster CPU, or more if that
+    many tasks would not fit their blocks: without a sort to feed, extra
+    tasks only add per-task overhead.
+    """
+    n = len(fragments)
+    if not block_bytes or (num_blocks or 0) > n:
+        return None
+    budget = block_bytes / _DECODE_MARGIN
+    if num_blocks:
+        candidates = [num_blocks]
+    else:
+        cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
+        by_size = math.ceil(sum(f[3] for f in fragments) / budget)
+        candidates = [min(n, max(int(cpus or 1), by_size)), n]
+    for k in candidates:
+        groups = [list(g) for g in np.array_split(np.arange(n), k)]
+        if all(sum(fragments[i][3] for i in g) <= budget for g in groups):
+            return groups
+    return None
+
+
+def _sort_block(block: pa.Table, starts: list, rows: list[int]) -> pa.Table:
+    """Sort one read block, which must hold exactly one read task's
+    fragments.
+
+    ``starts`` are the tasks' first footer ``conv_id`` minimums in
+    increasing order and ``rows`` their footer row counts. A block that is
+    not one whole task's output fails loudly instead of emitting rows out of
+    order.
+    """
+    if block.num_rows == 0:
+        return block
+    block = block.sort_by([(k, "ascending") for k in ORDER_KEYS])
+    first = block["conv_id"][0].as_py()
+    if rows[bisect.bisect_right(starts, first) - 1] != block.num_rows:
+        raise RuntimeError(
+            f"read block starting at conv_id {first!r} holds {block.num_rows} "
+            "rows, not its read task's whole fragments; its order cannot be "
+            "restored without the global sort"
+        )
+    return block
 
 
 def extract_transcripts(
@@ -98,15 +225,13 @@ def extract_transcripts(
     if columns:
         wanted = list(columns)
     else:
-        import pyarrow.parquet as _pq
-
         probe = [paths] if isinstance(paths, str) else list(paths)[:8]
         try:
             # intersect schemas across a bounded probe of files: projecting
             # a column absent from ANY file fails the whole read
             available: set | None = None
             for f in probe:
-                names = set(_pq.read_schema(f).names)
+                names = set(pq.read_schema(f).names)
                 available = names if available is None else (available & names)
             wanted = [c for c in INPUT_COLUMNS if c in (available or set())]
         except Exception:
@@ -114,6 +239,34 @@ def extract_transcripts(
         missing = {"conv_id", "turn_idx", "text"} - set(wanted)
         if missing:
             raise ValueError(f"input lacks required columns: {sorted(missing)}")
+    if order:
+        fragments = _fragments_in_range_order(
+            [paths] if isinstance(paths, str) else paths, wanted
+        )
+        groups = fragments and _read_groups(
+            fragments,
+            ray.data.DataContext.get_current().target_max_block_size,
+            override_num_blocks,
+        )
+        if groups:
+            ds = ray.data.read_parquet(
+                [path for _, path, _, _ in fragments],
+                columns=wanted,
+                override_num_blocks=len(groups),
+            ).map_batches(
+                _sort_block,
+                batch_format="pyarrow",
+                batch_size=None,
+                zero_copy_batch=True,
+                fn_kwargs={
+                    "starts": [fragments[g[0]][0] for g in groups],
+                    "rows": [sum(fragments[i][2] for i in g) for g in groups],
+                },
+                runtime_env=package_runtime_env(),
+            )
+            out = build_extraction(ds, batch_size=batch_size)
+            out.context.execution_options.preserve_order = True
+            return out
     ds = ray.data.read_parquet(
         paths,
         columns=wanted,

@@ -72,18 +72,21 @@ def media_kind_counts(sf_dir: str) -> "ray.data.Dataset":
 
 def media_resized_features(sf_dir: str) -> "ray.data.Dataset":
     """Resize stage chained into feature extraction: decode health after a
-    payload-rewriting actor stage (images resized to 16x16, rest pass)."""
+    payload-rewriting stage (images resized to 16x16, rest pass).
+
+    The resizer holds no per-worker state, so it runs as tasks: a second
+    actor pool (each pool keeps at least one actor) would hold every CPU of
+    a 2-CPU cluster and starve the read tasks.
+    """
     from ..stages.multimodal import MediaFeatureExtractor, MediaResizer
 
     ds = ray.data.read_parquet(
         media_table_for_sf(sf_dir), columns=["media_id", "payload"]
     )
     ds = ds.map_batches(
-        MediaResizer,
+        MediaResizer(target_w=16, target_h=16),
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=(1, 4),
-        fn_constructor_kwargs={"target_w": 16, "target_h": 16},
     )
     ds = ds.drop_columns(["action", "error"])
     return ds.map_batches(

@@ -152,7 +152,7 @@ def resize_fake_image(payload: bytes, target_w: int, target_h: int) -> bytes:
 
 
 class MediaResizer:
-    """Actor-pool resize stage: image payloads → fixed target dimensions.
+    """Resize stage: image payloads → fixed target dimensions.
 
     Non-image rows pass through untouched (``action="passthrough"``);
     failures isolate per row. Small ``batch_size`` guidance from the module

@@ -17,7 +17,10 @@ Ray-native analog here:
   streaming job); after each wave's write completes, a manifest
   ``_ckpt/<part_id>.json`` is committed per fragment recording lineage
   (input path, row count), output row count, and per-action counters —
-  the manifest is the commit marker, written strictly AFTER the data.
+  the manifest is the commit marker, written strictly AFTER the data,
+  and only when the output row count equals the input row count
+  (extraction is 1:1); a partition that fails the check is torn down and
+  the run raises.
   Wave-granular commit means a job killed after k waves resumes at wave
   k+1 instead of reprocessing the whole run; the wave size trades resume
   granularity against per-job pipeline startup cost.
@@ -44,6 +47,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -87,10 +91,15 @@ def completed_partitions(out_dir: Union[str, Path]) -> dict[str, dict]:
 
 
 def _add_part_id_column(batch: pa.Table) -> pa.Table:
-    """Derive part_id from the ``path`` column added by ``include_paths``."""
+    """Derive part_id from the ``path`` column added by ``include_paths``.
+
+    Only the batch's few distinct paths are hashed; each row then takes its
+    path's id by index.
+    """
     paths = batch["path"]
-    ids = {p: part_id_for_path(p) for p in set(paths.to_pylist())}
-    part_ids = pa.array([ids[p] for p in paths.to_pylist()], type=pa.string())
+    distinct = pc.unique(paths)
+    ids = pa.array([part_id_for_path(p) for p in distinct.to_pylist()], type=pa.string())
+    part_ids = pc.take(ids, pc.index_in(paths, value_set=distinct))
     batch = batch.drop_columns(["path"])
     return batch.append_column("part_id", part_ids)
 
@@ -194,20 +203,34 @@ def run_resumable_extraction(
                 count_remote.remote(str(_partition_dir(out_dir, pid)), path)
                 for pid, path in batch_frags
             ]
+            # extraction is 1:1: a partition holding more or fewer rows than
+            # its input (e.g. an orphan file left by a retried write task)
+            # is torn down, never committed
+            uneven = []
             for (pid, path), (actions, input_rows) in zip(
                 batch_frags, ray.get(count_refs)
             ):
-                run_rows += sum(actions.values())
+                output_rows = sum(actions.values())
+                if output_rows != input_rows:
+                    uneven.append(f"{path}: {output_rows} rows out, {input_rows} in")
+                    shutil.rmtree(_partition_dir(out_dir, pid), ignore_errors=True)
+                    continue
+                run_rows += output_rows
                 manifest = {
                     "part_id": pid,
                     "input_path": path,
                     "input_rows": input_rows,
-                    "output_rows": sum(actions.values()),
+                    "output_rows": output_rows,
                     "actions": dict(actions),
                 }
                 tmp = _manifest_path(out_dir, pid).with_suffix(".tmp")
                 tmp.write_text(json.dumps(manifest, sort_keys=True))
                 tmp.replace(_manifest_path(out_dir, pid))
+            if uneven:
+                raise RuntimeError(
+                    "partitions torn down, output rows != input rows: "
+                    + "; ".join(uneven)
+                )
         run_seconds = time.monotonic() - run_started
     else:
         run_seconds, run_rows = 0.0, 0
@@ -265,8 +288,6 @@ def _count_actions(partition_dir: Path) -> Counter:
 
 
 def _value_counts(arr: pa.Array) -> tuple[list[str], list[int]]:
-    import pyarrow.compute as pc
-
     vc = pc.value_counts(arr)
     return (
         [v.as_py() for v in vc.field("values")],

@@ -108,6 +108,114 @@ class TestGoldenPipeline:
         assert [r["spans"] for r in a] == [r["spans"] for r in b]
 
 
+class TestOrderRestore:
+    """``order=True`` skips the global sort only when the Parquet footers
+    prove disjoint ``conv_id`` ranges; either way the rows come back in
+    physical ``(conv_id, turn_idx)`` order."""
+
+    @staticmethod
+    def _write(path, rows):
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import rows_to_table
+
+        pq.write_table(rows_to_table(rows), path, row_group_size=64)
+        return str(path)
+
+    @staticmethod
+    def _rows_as_returned(ds) -> pa.Table:
+        import ray
+
+        return pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+
+    @staticmethod
+    def _assert_physically_sorted(table: pa.Table):
+        keys = list(zip(table["conv_id"].to_pylist(), table["turn_idx"].to_pylist()))
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_overlapping_shards_take_global_sort(self, ray_session, tmp_path):
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+            INPUT_COLUMNS,
+            _fragments_in_range_order,
+            extract_transcripts,
+        )
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import generate_rows
+
+        rows = generate_rows(12, seed=5)
+        # even / odd conversations: both shards span conv 0..11
+        overlapping = [
+            self._write(tmp_path / f"over-{k}.parquet",
+                        [r for r in rows if int(r["conv_id"][5:]) % 2 == k])
+            for k in (0, 1)
+        ]
+        disjoint = [
+            self._write(tmp_path / f"disj-{k}.parquet",
+                        [r for r in rows if (r["conv_id"] >= "conv-00000006") == k])
+            for k in (0, 1)
+        ]
+        assert _fragments_in_range_order(overlapping, INPUT_COLUMNS) is None
+        assert _fragments_in_range_order(disjoint, INPUT_COLUMNS) is not None
+        slow = self._rows_as_returned(extract_transcripts(overlapping, order=True))
+        fast = self._rows_as_returned(extract_transcripts(disjoint, order=True))
+        self._assert_physically_sorted(slow)
+        assert slow.num_rows == len(rows)
+        assert slow.combine_chunks().equals(fast.combine_chunks())
+
+    def test_split_fragments_keep_physical_order(self, ray_session, tmp_path, tiny_transcripts):
+        import ray.data
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import extract_transcripts
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import write_transcripts
+
+        # one file read as 16 blocks: Ray splits the fragment's read output
+        one_file = self._rows_as_returned(
+            extract_transcripts(tiny_transcripts, order=True, override_num_blocks=16)
+        )
+        self._assert_physically_sorted(one_file)
+        assert one_file.num_rows == oracle_extract_parquet(tiny_transcripts).num_rows
+
+        # disjoint shards, each larger than the blocks the context allows
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"shard-{i}.parquet"
+            write_transcripts(p, n_convs=5, seed=40 + i, first_conv=5 * i)
+            paths.append(str(p))
+        ctx = ray.data.DataContext.get_current()
+        saved = ctx.target_max_block_size
+        ctx.target_max_block_size = 4096
+        try:
+            ds = extract_transcripts(paths, order=True)
+            assert ds.context.target_max_block_size == 4096
+            tiny_blocks = self._rows_as_returned(ds)
+        finally:
+            ctx.target_max_block_size = saved
+        self._assert_physically_sorted(tiny_blocks)
+        assert tiny_blocks.num_rows == sum(pq.read_metadata(p).num_rows for p in paths)
+
+    def test_disjoint_shards_write_in_file_name_order(self, ray_session, tmp_path):
+        import ray.data
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+            INPUT_COLUMNS,
+            _fragments_in_range_order,
+            extract_transcripts,
+        )
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import (
+            write_transcript_shards,
+        )
+
+        paths = write_transcript_shards(tmp_path / "in", n_convs=40, seed=3, n_shards=6)
+        assert _fragments_in_range_order(paths, INPUT_COLUMNS) is not None
+        out = tmp_path / "out"
+        extract_transcripts(list(reversed(paths)), order=True).write_parquet(str(out))
+        assert not ray.data.DataContext.get_current().execution_options.preserve_order
+        files = sorted(out.glob("*.parquet"))
+        assert len(files) > 1
+        written = pa.concat_tables([pq.read_table(f) for f in files])
+        self._assert_physically_sorted(written)
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        _assert_tables_equal(written, golden)
+
+
 class TestResume:
     def _write_shards(self, tmp_path, n_shards=4, convs_per_shard=6, seed=11):
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import write_transcripts
@@ -212,6 +320,48 @@ class TestResume:
             assert f == r  # same inputs → byte-identical manifests
             local = dict(_count_actions(Path(full_dir) / "data" / f"part_id={pid}"))
             assert f["actions"] == local
+
+    def test_uneven_partition_is_torn_down_not_committed(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """A partition holding more rows than its input (here an orphan copy
+        of a written file, as a retried write task can leave behind) is torn
+        down and the run raises; a resume then rewrites it."""
+        import shutil
+        from pathlib import Path
+
+        import ray
+        import ray.data
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+            completed_partitions,
+            read_extracted,
+            run_resumable_extraction,
+        )
+
+        paths = self._write_shards(tmp_path, n_shards=2)
+        out = tmp_path / "out"
+        write_parquet = ray.data.Dataset.write_parquet
+
+        def write_with_orphan(ds, path, **kwargs):
+            write_parquet(ds, path, **kwargs)
+            first = sorted(Path(path).glob("part_id=*/*.parquet"))[0]
+            shutil.copy(first, first.with_name("orphan-" + first.name))
+
+        monkeypatch.setattr(ray.data.Dataset, "write_parquet", write_with_orphan)
+        with pytest.raises(RuntimeError, match="output rows != input rows"):
+            run_resumable_extraction(paths, out)
+        monkeypatch.undo()
+        assert len(completed_partitions(out)) == 1
+        assert len(list((out / "data").glob("part_id=*"))) == 1
+
+        report = run_resumable_extraction(paths, out)
+        assert report["partitions_committed"] == 2
+        assert report["partitions_skipped_resume"] == 1
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        ours = pa.concat_tables(
+            [ray.get(r) for r in read_extracted(out).to_arrow_refs()]
+        )
+        _assert_tables_equal(ours, golden)
 
     def test_rerun_is_noop(self, ray_session, tmp_path):
         from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import run_resumable_extraction

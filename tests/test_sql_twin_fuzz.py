@@ -188,3 +188,84 @@ class TestBoilerplateTrimTwin:
         assert ours["line_md5"].tolist() == gold["line_md5"].tolist()
         assert ours["n_docs"].tolist() == gold["n_docs"].astype("int64").tolist()
         assert ours["example_line"].tolist() == gold["example_line"].tolist()
+
+
+class TestPreEpochBucketTwin:
+    """Day/hour/minute folds on timestamps before 1970: both engines must
+    floor the epoch microseconds (DuckDB's ``//`` and arrow's divide
+    truncate toward zero) and take weekday / hour-of-day with a
+    non-negative modulo (DuckDB's ``%`` keeps the dividend's sign)."""
+
+    @pytest.fixture(scope="class")
+    def pre_epoch_dir(self, tmp_path_factory):
+        import datetime as dt
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        rng = np.random.default_rng(31)
+        base = dt.datetime(1969, 12, 20)
+        n = 400
+        # ten days either side of the epoch, at odd seconds so most
+        # instants sit inside (not on) a minute/hour/day boundary
+        offsets = rng.integers(0, 20 * 86400, size=n)
+        ts = [base + dt.timedelta(seconds=int(s), microseconds=7) for s in offsets]
+        d = tmp_path_factory.mktemp("pre_epoch")
+        pq.write_table(
+            pa.table(
+                {
+                    "event_id": pa.array(range(n), type=pa.int64()),
+                    "ts": pa.array(ts, type=pa.timestamp("us")),
+                    "user_id": pa.array(rng.integers(1, 9, size=n), type=pa.int64()),
+                    "event_type": pa.array(
+                        rng.choice(["view", "click", "buy"], size=n).tolist()
+                    ),
+                    "value": pa.array(rng.random(n)),
+                    "props": pa.array([""] * n),
+                }
+            ),
+            d / "events.parquet",
+        )
+        pq.write_table(
+            pa.table(
+                {
+                    "l_tax": pa.array(rng.choice([0.0, 0.04, 0.08], size=n)),
+                    "l_shipdate": pa.array(ts, type=pa.timestamp("us")),
+                }
+            ),
+            d / "lineitem.parquet",
+        )
+        return d
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "events_changepoint_cusum",
+            "events_dow_seasonality",
+            "events_burst_windows",
+            "events_dispersion_index",
+            "user_stickiness",
+            "type_hour_profile_similarity",
+            "shipment_completeness",
+            "tax_rate_periods",
+        ],
+    )
+    def test_matches_duckdb_before_1970(self, ray_session, pre_epoch_dir, con, name):
+        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.diagnostics  # noqa: F401
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
+
+        for table in ("events", "lineitem"):
+            con.execute(
+                f"CREATE OR REPLACE VIEW {table} AS SELECT * FROM "
+                f"read_parquet('{pre_epoch_dir}/{table}.parquet')"
+            )
+        ours = queryset.QUERIES[name](str(pre_epoch_dir))
+        gold = con.execute(queryset.ORACLE_SQL[name]).df()
+        cols = sorted(gold.columns)
+        assert sorted(ours.columns) == cols
+        assert len(ours) == len(gold) > 0
+
+        def rows(df):
+            return sorted(map(tuple, df[cols].astype(str).values.tolist()))
+
+        assert rows(ours) == rows(gold)
