@@ -10,14 +10,16 @@ Ray-Data-first shape (SURVEY.md §7):
 
 Order restoration (``order=True``) runs the global sort only when the
 Parquet footers cannot prove that the input is already range-partitioned.
-When every fragment has complete ``conv_id`` statistics, the fragments'
-ranges are disjoint, and each read task's whole fragments fit one read
-block, the pipeline instead reads the fragments in range order, sorts each
-read block before extraction and emits blocks in order (``preserve_order``
-on the dataset's own context). Extraction is 1:1 and keeps row order, so
-the output equals the globally sorted output without an all-to-all
-exchange: the *Hyper Dimension Shuffle* rule, never repartition data that
-is already partitioned correctly.
+The footers' ``conv_id`` min/max statistics split the input into sort
+units, runs of one file's row groups. When the units' ranges are disjoint,
+there are at least as many units as cluster CPUs, and each unit's footer
+size fits one block, the pipeline reads the units in range order instead,
+one task per CPU, and sorts each unit whole inside its read task before
+extraction. Blocks are emitted in order (``preserve_order`` on the
+dataset's own context). Extraction is 1:1 and keeps row order, so the
+output equals the globally sorted output without an all-to-all exchange:
+the *Hyper Dimension Shuffle* rule, never repartition data that is already
+partitioned correctly.
 
 Scale notes (100 TB design):
 
@@ -37,13 +39,10 @@ Scale notes (100 TB design):
 
 from __future__ import annotations
 
-import bisect
-import math
 import os
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
@@ -53,12 +52,6 @@ from ..stages.extract import extract_batch
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 ORDER_KEYS = ["conv_id", "turn_idx"]
-
-# Decoded fragments can take more memory than their footers' uncompressed
-# size (offset buffers, dictionary pages expanded to dense strings), so a
-# read task skips the global sort only if this multiple of its fragments'
-# footer size fits one block.
-_DECODE_MARGIN = 2
 
 
 def package_runtime_env() -> dict:
@@ -101,34 +94,44 @@ def build_extraction(
     return out
 
 
-def _fragments_in_range_order(
-    paths: Sequence[str], columns: Sequence[str]
-) -> Optional[list[tuple]]:
-    """``(first conv_id, path, rows, bytes)`` per fragment in ``conv_id``
-    order, or ``None`` unless the Parquet footers prove that the fragments
-    hold pairwise disjoint ``conv_id`` ranges.
+def _sort_units(
+    paths: Sequence[str], columns: Sequence[str], block_bytes: Optional[int]
+) -> Optional[list[tuple[str, list[int]]]]:
+    """``(path, row groups)`` sort units in ``conv_id`` order, or ``None``
+    unless the Parquet footers prove the input is range-partitioned.
 
-    The proof needs min/max statistics with zero nulls for both order keys
-    on every row group. Across fragments sorted by minimum, each maximum
-    must lie strictly below the next minimum: a conversation on a shared
-    boundary could be split between two blocks. ``bytes`` is the footer's
-    uncompressed size of the ``columns`` read.
+    A sort unit is a run of one file's row groups whose ``conv_id`` ranges
+    overlap or touch, so no conversation spans two units. The proof needs
+    min/max statistics with zero nulls for both order keys on every row
+    group, one Arrow schema for ``columns`` across files, and unit ranges
+    that increase strictly: two files that share a boundary id fall back.
+
+    A task holds a whole unit to sort it, so a unit whose footer size of
+    ``columns`` exceeds ``block_bytes`` falls back too. Dictionary pages can
+    make the decoded unit larger than its footer size; that costs memory,
+    never order, because the sort runs before Ray splits the output.
     """
-    if not all(os.path.isfile(p) for p in paths):
+    if not paths or not block_bytes or not all(os.path.isfile(p) for p in paths):
         return None
-    ranges = []
-    for path in paths:
-        try:
-            meta = pq.read_metadata(path)
-        except (OSError, pa.ArrowException):
-            return None
+    try:
+        metas = [pq.read_metadata(p) for p in paths]
+    except (OSError, pa.ArrowException):
+        return None
+    schema = None
+    groups = []  # (min conv_id, max conv_id, file, row group, bytes)
+    for f, meta in enumerate(metas):
         names = [meta.schema.column(j).path for j in range(meta.num_columns)]
         if meta.num_rows == 0 or not set(ORDER_KEYS) <= set(names):
             return None
-        lo = hi = None
-        size = 0
+        arrow = meta.schema.to_arrow_schema()
+        fields = [arrow.field(c) for c in columns if c in arrow.names]
+        if schema is None:
+            schema = fields
+        elif fields != schema:
+            return None
         for i in range(meta.num_row_groups):
             group = meta.row_group(i)
+            size = 0
             for j, name in enumerate(names):
                 chunk = group.column(j)
                 if name in columns:
@@ -144,63 +147,40 @@ def _fragments_in_range_order(
                 ):
                     return None
                 if name == "conv_id":
-                    lo = stats.min if lo is None else min(lo, stats.min)
-                    hi = stats.max if hi is None else max(hi, stats.max)
-        ranges.append((lo, hi, path, meta.num_rows, size))
-    ranges.sort(key=lambda r: r[0])
-    if any(a[1] >= b[0] for a, b in zip(ranges, ranges[1:])):
+                    lo, hi = stats.min, stats.max
+            groups.append((lo, hi, f, i, size))
+    groups.sort(key=lambda g: g[0])
+    units = []  # [max conv_id, file, row groups, bytes]
+    for lo, hi, f, i, size in groups:
+        if units and lo <= units[-1][0]:
+            if units[-1][1] != f:
+                return None
+            units[-1][0] = max(units[-1][0], hi)
+            units[-1][2].append(i)
+            units[-1][3] += size
+        else:
+            units.append([hi, f, [i], size])
+    if any(size > block_bytes for _, _, _, size in units):
         return None
-    return [(lo, path, rows, size) for lo, _, path, rows, size in ranges]
+    return [(paths[f], sorted(rows)) for _, f, rows, _ in units]
 
 
-def _read_groups(
-    fragments: list[tuple], block_bytes: Optional[int], num_blocks: Optional[int]
-) -> Optional[list[list[int]]]:
-    """Fragment indices per read task, split as Ray splits a file list over
-    ``num_blocks`` tasks, or ``None`` if some task's fragments might not fit
-    one block of ``block_bytes`` (Ray would then cut a fragment in two).
+def _cluster_cpus() -> int:
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
 
-    Without ``num_blocks``, use one task per cluster CPU, or more if that
-    many tasks would not fit their blocks: without a sort to feed, extra
-    tasks only add per-task overhead.
+
+def _read_sorted(units: pa.Table, columns: list[str]) -> Iterator[pa.Table]:
+    """Read each sort unit whole and yield it sorted by the order keys.
+
+    Each unit is sorted before Ray sees it, so Ray may split the output
+    into blocks of any size without breaking the order.
     """
-    n = len(fragments)
-    if not block_bytes or (num_blocks or 0) > n:
-        return None
-    budget = block_bytes / _DECODE_MARGIN
-    if num_blocks:
-        candidates = [num_blocks]
-    else:
-        cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
-        by_size = math.ceil(sum(f[3] for f in fragments) / budget)
-        candidates = [min(n, max(int(cpus or 1), by_size)), n]
-    for k in candidates:
-        groups = [list(g) for g in np.array_split(np.arange(n), k)]
-        if all(sum(fragments[i][3] for i in g) <= budget for g in groups):
-            return groups
-    return None
-
-
-def _sort_block(block: pa.Table, starts: list, rows: list[int]) -> pa.Table:
-    """Sort one read block, which must hold exactly one read task's
-    fragments.
-
-    ``starts`` are the tasks' first footer ``conv_id`` minimums in
-    increasing order and ``rows`` their footer row counts. A block that is
-    not one whole task's output fails loudly instead of emitting rows out of
-    order.
-    """
-    if block.num_rows == 0:
-        return block
-    block = block.sort_by([(k, "ascending") for k in ORDER_KEYS])
-    first = block["conv_id"][0].as_py()
-    if rows[bisect.bisect_right(starts, first) - 1] != block.num_rows:
-        raise RuntimeError(
-            f"read block starting at conv_id {first!r} holds {block.num_rows} "
-            "rows, not its read task's whole fragments; its order cannot be "
-            "restored without the global sort"
-        )
-    return block
+    for unit in units.to_pylist():
+        with pq.ParquetFile(unit["path"]) as f:
+            table = f.read_row_groups(unit["row_groups"], columns=columns)
+        yield table.sort_by([(k, "ascending") for k in ORDER_KEYS])
 
 
 def extract_transcripts(
@@ -240,28 +220,25 @@ def extract_transcripts(
         if missing:
             raise ValueError(f"input lacks required columns: {sorted(missing)}")
     if order:
-        fragments = _fragments_in_range_order(
-            [paths] if isinstance(paths, str) else paths, wanted
-        )
-        groups = fragments and _read_groups(
-            fragments,
+        units = _sort_units(
+            [paths] if isinstance(paths, str) else paths,
+            wanted,
             ray.data.DataContext.get_current().target_max_block_size,
-            override_num_blocks,
         )
-        if groups:
-            ds = ray.data.read_parquet(
-                [path for _, path, _, _ in fragments],
-                columns=wanted,
-                override_num_blocks=len(groups),
+        # one task per CPU: the fused read + sort + extract task is the
+        # stage's whole parallelism, so fewer units than CPUs would idle
+        # CPUs that the global sort's split reads keep busy
+        cpus = _cluster_cpus()
+        tasks = override_num_blocks or cpus
+        if units and max(cpus, tasks) <= len(units):
+            ds = ray.data.from_items(
+                [{"path": path, "row_groups": rows} for path, rows in units],
+                override_num_blocks=tasks,
             ).map_batches(
-                _sort_block,
+                _read_sorted,
                 batch_format="pyarrow",
                 batch_size=None,
-                zero_copy_batch=True,
-                fn_kwargs={
-                    "starts": [fragments[g[0]][0] for g in groups],
-                    "rows": [sum(fragments[i][2] for i in g) for g in groups],
-                },
+                fn_kwargs={"columns": wanted},
                 runtime_env=package_runtime_env(),
             )
             out = build_extraction(ds, batch_size=batch_size)

@@ -114,10 +114,10 @@ class TestOrderRestore:
     physical ``(conv_id, turn_idx)`` order."""
 
     @staticmethod
-    def _write(path, rows):
+    def _write(path, rows, row_group_size=64, **kwargs):
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import rows_to_table
 
-        pq.write_table(rows_to_table(rows), path, row_group_size=64)
+        pq.write_table(rows_to_table(rows), path, row_group_size=row_group_size, **kwargs)
         return str(path)
 
     @staticmethod
@@ -135,7 +135,7 @@ class TestOrderRestore:
     def test_overlapping_shards_take_global_sort(self, ray_session, tmp_path):
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
             INPUT_COLUMNS,
-            _fragments_in_range_order,
+            _sort_units,
             extract_transcripts,
         )
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import generate_rows
@@ -147,15 +147,20 @@ class TestOrderRestore:
                         [r for r in rows if int(r["conv_id"][5:]) % 2 == k])
             for k in (0, 1)
         ]
+        # two conversations per shard: one sort unit per CPU or more
         disjoint = [
             self._write(tmp_path / f"disj-{k}.parquet",
-                        [r for r in rows if (r["conv_id"] >= "conv-00000006") == k])
-            for k in (0, 1)
+                        [r for r in rows if int(r["conv_id"][5:]) // 2 == k])
+            for k in range(6)
         ]
-        assert _fragments_in_range_order(overlapping, INPUT_COLUMNS) is None
-        assert _fragments_in_range_order(disjoint, INPUT_COLUMNS) is not None
-        slow = self._rows_as_returned(extract_transcripts(overlapping, order=True))
-        fast = self._rows_as_returned(extract_transcripts(disjoint, order=True))
+        assert _sort_units(overlapping, INPUT_COLUMNS, 1 << 27) is None
+        assert len(_sort_units(disjoint, INPUT_COLUMNS, 1 << 27)) == 6
+        slow_ds = extract_transcripts(overlapping, order=True)
+        fast_ds = extract_transcripts(disjoint, order=True)
+        assert "Sort" in repr(slow_ds)
+        assert "Sort" not in repr(fast_ds)
+        slow = self._rows_as_returned(slow_ds)
+        fast = self._rows_as_returned(fast_ds)
         self._assert_physically_sorted(slow)
         assert slow.num_rows == len(rows)
         assert slow.combine_chunks().equals(fast.combine_chunks())
@@ -191,12 +196,74 @@ class TestOrderRestore:
         self._assert_physically_sorted(tiny_blocks)
         assert tiny_blocks.num_rows == sum(pq.read_metadata(p).num_rows for p in paths)
 
+    def test_dictionary_units_split_after_sort(self, ray_session, tmp_path):
+        """A dictionary-encoded unit decodes far larger than its footer size:
+        Ray splits the read output into many blocks, and the rows still come
+        back sorted because each unit is sorted before the split."""
+        import ray.data
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+            INPUT_COLUMNS,
+            _sort_units,
+            extract_transcripts,
+        )
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import generate_rows
+
+        prompts = [f"system prompt {k}: " + "be brief and exact. " * 100 for k in range(5)]
+        paths = []
+        for i in range(4):
+            rows = generate_rows(6, seed=60 + i, first_conv=6 * i)
+            for j, row in enumerate(rows):
+                row["text"] = prompts[j % len(prompts)]
+            paths.append(self._write(
+                tmp_path / f"dict-{i}.parquet", rows, row_group_size=4096, use_dictionary=True
+            ))
+        block = 64 * 1024
+        units = _sort_units(paths, INPUT_COLUMNS, block)
+        assert units is not None and len(units) == 4
+        decoded = sum(pq.read_table(p).nbytes for p in paths)
+        assert decoded > 4 * 2 * block
+        ctx = ray.data.DataContext.get_current()
+        saved = ctx.target_max_block_size
+        ctx.target_max_block_size = block
+        try:
+            ds = extract_transcripts(paths, order=True)
+            assert "Sort" not in repr(ds)
+            refs = ds.to_arrow_refs()
+        finally:
+            ctx.target_max_block_size = saved
+        assert len(refs) > len(units)
+        got = pa.concat_tables([ray.get(r) for r in refs])
+        self._assert_physically_sorted(got)
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        _assert_tables_equal(got, golden)
+
+    def test_fewer_units_than_cpus_take_global_sort(self, ray_session, tmp_path):
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+            INPUT_COLUMNS,
+            _sort_units,
+            extract_transcripts,
+        )
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import (
+            write_transcript_shards,
+        )
+
+        # four CPUs in the session: two disjoint shards would run as two tasks
+        paths = write_transcript_shards(tmp_path / "in", n_convs=20, seed=4, n_shards=2)
+        assert len(_sort_units(paths, INPUT_COLUMNS, 1 << 27)) == 2
+        ds = extract_transcripts(paths, order=True)
+        assert "Sort" in repr(ds)
+        got = self._rows_as_returned(ds)
+        self._assert_physically_sorted(got)
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        _assert_tables_equal(got, golden)
+
     def test_disjoint_shards_write_in_file_name_order(self, ray_session, tmp_path):
         import ray.data
 
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
             INPUT_COLUMNS,
-            _fragments_in_range_order,
+            _sort_units,
             extract_transcripts,
         )
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import (
@@ -204,9 +271,11 @@ class TestOrderRestore:
         )
 
         paths = write_transcript_shards(tmp_path / "in", n_convs=40, seed=3, n_shards=6)
-        assert _fragments_in_range_order(paths, INPUT_COLUMNS) is not None
+        assert _sort_units(paths, INPUT_COLUMNS, 1 << 27) is not None
         out = tmp_path / "out"
-        extract_transcripts(list(reversed(paths)), order=True).write_parquet(str(out))
+        ds = extract_transcripts(list(reversed(paths)), order=True)
+        assert "Sort" not in repr(ds)
+        ds.write_parquet(str(out))
         assert not ray.data.DataContext.get_current().execution_options.preserve_order
         files = sorted(out.glob("*.parquet"))
         assert len(files) > 1
