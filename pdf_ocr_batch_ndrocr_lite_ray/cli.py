@@ -170,13 +170,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 if line.strip():
                     counts[json.loads(line).get("action", "?")] += 1
     else:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
+        from .state.checkpoint import count_values
 
-        for batch in pads.dataset(str(out), format="parquet").to_batches(columns=["action"]):
-            vc = pc.value_counts(batch.column(0))
-            for v, n in zip(vc.field("values"), vc.field("counts")):
-                counts[v.as_py()] += n.as_py()
+        counts = count_values(out, "action")
     report = {"rows": sum(counts.values()), "actions": dict(counts), "output": str(out)}
     print(json.dumps(report))
     return 0
@@ -236,40 +232,17 @@ def cmd_prep(args: argparse.Namespace) -> int:
         result = dedup_stats_split(convs)
     result.write_parquet(str(out))
 
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
+    from .state.checkpoint import count_values
 
-    from collections import Counter
-
-    split_counts: Counter = Counter()
-    rows = 0
-    for batch in pads.dataset(str(out), format="parquet").to_batches(columns=["split"]):
-        rows += batch.num_rows
-        vc = pc.value_counts(batch.column(0))
-        for v, n in zip(vc.field("values"), vc.field("counts")):
-            split_counts[v.as_py()] += n.as_py()
-    print(json.dumps({"conversations": rows, "splits": dict(split_counts), "output": str(out)}))
+    splits = count_values(out, "split")
+    print(json.dumps({"conversations": sum(splits.values()), "splits": dict(splits), "output": str(out)}))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .state.checkpoint import completed_partitions
+    from .state.checkpoint import committed_totals
 
-    done = completed_partitions(args.output)
-    from collections import Counter
-
-    totals: Counter = Counter()
-    for manifest in done.values():
-        totals.update(manifest.get("actions", {}))
-    print(
-        json.dumps(
-            {
-                "partitions_committed": len(done),
-                "rows": sum(m.get("output_rows", 0) for m in done.values()),
-                "actions": dict(totals),
-            }
-        )
-    )
+    print(json.dumps(committed_totals(args.output)))
     return 0
 
 

@@ -12,12 +12,18 @@ Conformance-critical constants (do not tune without re-goldening):
 - exact dedup keys: (normalized text, int-rounded bbox), first wins after a
   deterministic (round(y1,1), round(x1,1), round(h,1), text) sort (app.py:1709-1725)
 
-The greedy clustering is order-dependent by design; the defining order is the
-pre-sort performed here, including tie-breakers. All functions are pure and run
-inside a single ``map_batches`` call per turn — layout analysis never shuffles.
+Lines and vertical columns are one greedy 1-D clusterer (``_greedy_bands``)
+run over y-centers/heights or x-centers/widths. The greedy clustering is
+order-dependent by design; the defining order is the pre-sort performed here,
+including tie-breakers. ``join_segments`` is the engine's one
+segments → (text, spans) joiner: layout lines, plain/HTML blocks and pdfish
+pages all go through it. All functions are pure and run inside a single
+``map_batches`` call per turn — layout analysis never shuffles.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .geometry import Box
 from .textnorm import (
@@ -38,71 +44,57 @@ _GAP_RATIO_SPACE = 0.45
 _GAP_RATIO_SPACE_JP_ASCII = 0.90
 
 
+def _greedy_bands(boxes: list[Box], order_key, position, size, ratio: float, emit_key) -> list[list[Box]]:
+    """Greedy 1-D band clustering, shared by lines (y) and columns (x).
+
+    Boxes are visited in ``order_key`` order; each joins the newest of the
+    last 8 open bands whose mean ``position`` is within
+    ``max(4.0, ratio * min(mean size, size))``, else opens a new band. Bands
+    are emitted in opening order, members sorted by ``emit_key``.
+    """
+    # each band record bundles [boxes, Σposition, Σsize]: summing on append
+    # adds terms in the same order as sum() over the list, so the means are
+    # bit-identical to the recompute-per-probe form (pinned by the reference
+    # fuzz tests and tests/test_kernel_digests.py) while each probe drops to O(1)
+    bands: list[list] = []
+    for box in sorted(boxes, key=order_key):
+        pos = position(box)
+        extent = size(box)
+        for band in reversed(bands[-_GREEDY_WINDOW:]):  # newest open band first
+            members, s_pos, s_size = band
+            n = len(members)
+            if abs(pos - s_pos / n) <= max(_MIN_TOLERANCE, min(s_size / n, extent) * ratio):
+                members.append(box)
+                band[1] = s_pos + pos
+                band[2] = s_size + extent
+                break
+        else:
+            bands.append([[box], pos, extent])
+    return [sorted(members, key=emit_key) for members, _, _ in bands]
+
+
 def group_into_lines(boxes: list[Box]) -> list[list[Box]]:
     """Greedy y-band clustering into horizontal lines.
 
-    Boxes are pre-sorted by (center_y, x1, x2); each box joins the first of the
-    last 8 open lines whose mean center-y is within tolerance, else opens a new
-    line. Lines are re-sorted left-to-right on emission.
+    Boxes are pre-sorted by (center_y, x1, x2); tolerance ratio 0.6 of the
+    heights. Lines are re-sorted left-to-right on emission.
     """
-    if not boxes:
-        return []
-    ordered = sorted(boxes, key=lambda b: (b.center_y, float(b.x1), float(b.x2)))
-    # each cluster record bundles [boxes, Σcenter_y, Σheight]: summing on
-    # append adds terms in the same order as sum() over the list, so the
-    # means are bit-identical to the recompute-per-probe form (pinned by
-    # the reference fuzz tests) while each probe drops to O(1)
-    lines: list[list] = []  # [list[Box], float, float]
-    for box in ordered:
-        placed = False
-        cy = box.center_y
-        h = box.height
-        start = max(0, len(lines) - _GREEDY_WINDOW)
-        for i in range(len(lines) - 1, start - 1, -1):
-            members, s_cy, s_h = lines[i]
-            n = len(members)
-            tolerance = max(_MIN_TOLERANCE, min(s_h / n, h) * _LINE_TOL_RATIO)
-            if abs(cy - s_cy / n) <= tolerance:
-                members.append(box)
-                lines[i][1] = s_cy + cy
-                lines[i][2] = s_h + h
-                placed = True
-                break
-        if not placed:
-            lines.append([[box], cy, h])
-    return [
-        sorted(members, key=lambda b: (float(b.x1), float(b.x2)))
-        for members, _, _ in lines
-    ]
+    return _greedy_bands(
+        boxes, lambda b: (b.center_y, float(b.x1), float(b.x2)), attrgetter("center_y"),
+        attrgetter("height"), _LINE_TOL_RATIO, lambda b: (float(b.x1), float(b.x2)),
+    )
 
 
 def group_into_vertical_columns(boxes: list[Box]) -> list[list[Box]]:
-    """Mirror of ``group_into_lines`` over x-centers, right-to-left."""
-    if not boxes:
-        return []
-    ordered = sorted(boxes, key=lambda b: (-b.center_x, float(b.y1), float(b.y2)))
-    cols: list[list] = []  # [list[Box], Σcenter_x, Σwidth] per cluster
-    for box in ordered:
-        placed = False
-        cx = box.center_x
-        w = box.width
-        start = max(0, len(cols) - _GREEDY_WINDOW)
-        for i in range(len(cols) - 1, start - 1, -1):
-            members, s_cx, s_w = cols[i]
-            n = len(members)
-            tolerance = max(_MIN_TOLERANCE, min(s_w / n, w) * _COL_TOL_RATIO)
-            if abs(cx - s_cx / n) <= tolerance:
-                members.append(box)
-                cols[i][1] = s_cx + cx
-                cols[i][2] = s_w + w
-                placed = True
-                break
-        if not placed:
-            cols.append([[box], cx, w])
-    return [
-        sorted(members, key=lambda b: (float(b.y1), float(b.y2)))
-        for members, _, _ in cols
-    ]
+    """Greedy x-band clustering into vertical columns, right-to-left.
+
+    Boxes are pre-sorted by (-center_x, y1, y2); tolerance ratio 0.9 of the
+    widths. Columns are re-sorted top-to-bottom on emission.
+    """
+    return _greedy_bands(
+        boxes, lambda b: (-b.center_x, float(b.y1), float(b.y2)), attrgetter("center_x"),
+        attrgetter("width"), _COL_TOL_RATIO, lambda b: (float(b.y1), float(b.y2)),
+    )
 
 
 def is_vertical_layout(boxes: list[Box]) -> bool:
@@ -216,6 +208,19 @@ def dedup_blocks(blocks: list[str]) -> list[str]:
     return out
 
 
+def join_segments(segments: list[tuple[str, str]], sep: str = "\n") -> tuple[str, list[tuple[int, int, str]]]:
+    """``(text, kind)`` segments → ``(sep-joined text, (start, end, kind) spans)``.
+
+    Every segment gets a span, empty ones included.
+    """
+    spans: list[tuple[int, int, str]] = []
+    pos = 0
+    for text, kind in segments:
+        spans.append((pos, pos + len(text), kind))
+        pos += len(text) + len(sep)
+    return sep.join(text for text, _ in segments), spans
+
+
 def assemble_layout_text(boxes: list[Box], blocks: list[str]) -> tuple[str, list[tuple[int, int, str]]]:
     """Turn deduped boxes + text blocks into final extracted text with spans.
 
@@ -228,27 +233,14 @@ def assemble_layout_text(boxes: list[Box], blocks: list[str]) -> tuple[str, list
     segments: list[tuple[str, str]] = []
     if boxes:
         if is_vertical_layout(boxes):
-            for col in group_into_vertical_columns(boxes):
-                text = join_vertical_column(col)
-                if text:
-                    segments.append((text, "column"))
+            group, join, kind = group_into_vertical_columns, join_vertical_column, "column"
         else:
-            for line in group_into_lines(boxes):
-                text = join_line(line)
-                if text:
-                    segments.append((text, "line"))
-    for block in blocks:
-        if block:
-            segments.append((block, "block"))
+            group, join, kind = group_into_lines, join_line, "line"
+        segments = [(text, kind) for text in map(join, group(boxes)) if text]
+    segments += [(block, "block") for block in blocks if block]
+    return join_segments(segments)
 
-    parts: list[str] = []
-    spans: list[tuple[int, int, str]] = []
-    pos = 0
-    for text, kind in segments:
-        if parts:
-            pos += 1  # the joining "\n"
-        start = pos
-        parts.append(text)
-        pos += len(text)
-        spans.append((start, pos, kind))
-    return "\n".join(parts), spans
+
+def dedup_and_assemble(boxes: list[Box], blocks: list[str]) -> tuple[str, list[tuple[int, int, str]]]:
+    """``assemble_layout_text`` over the deduped boxes and blocks of one turn."""
+    return assemble_layout_text(dedup_boxes(boxes), dedup_blocks(blocks))

@@ -7,6 +7,9 @@ This is the engine's analog of the reference's per-file pipeline
 - routing mirrors the parse **priority order** (structured first, plain-text
   fallback last; "fill only empty pages", app.py:1663-1687) — here each turn
   has exactly one payload, so routing is by the sniffer's ``content_kind``;
+- a pdfish turn is JSON-decoded once; the decoded object goes to the flat
+  walk or the paged merge. pdfish and xml share ``layout.dedup_and_assemble``
+  and every extractor builds text + spans with ``layout.join_segments``;
 - every extracted string passes the normalization kernel exactly as the
   reference normalizes on insertion + postprocess (app.py:1709-1735);
 - **per-item error isolation**: a failing turn becomes an
@@ -29,11 +32,11 @@ import re
 
 import pyarrow as pa
 
-from ..functions.layout import assemble_layout_text, dedup_blocks, dedup_boxes
+from ..functions.layout import dedup_and_assemble, dedup_blocks, join_segments
 from ..functions.textnorm import RowBudgetExceeded, set_row_deadline
 from .domstrip import extract_html_main_content
-from .paged import PAGE_SEP, extract_paged_turn, infer_page_count
-from .payload import parse_pdfish_payload
+from .paged import PAGE_SEP, page_count_of, page_texts, paged_document
+from .payload import collect_payload, decode_payload
 from .sniffer import (
     KIND_EMPTY,
     KIND_HTML,
@@ -59,20 +62,6 @@ _FORM_FEED_RE = re.compile(r"\f+")
 Span = tuple[int, int, str]
 
 
-def _segments_to_text(segments: list[str], kind: str) -> tuple[str, list[Span]]:
-    parts: list[str] = []
-    spans: list[Span] = []
-    pos = 0
-    for seg in segments:
-        if parts:
-            pos += 1
-        start = pos
-        parts.append(seg)
-        pos += len(seg)
-        spans.append((start, pos, kind))
-    return "\n".join(parts), spans
-
-
 def extract_plain(text: str) -> tuple[str, list[Span]]:
     """Plain path: CRLF-normalize, split on form feeds, normalize, dedup.
 
@@ -83,53 +72,38 @@ def extract_plain(text: str) -> tuple[str, list[Span]]:
     if not cleaned:
         return "", []
     segments = [s.strip() for s in _FORM_FEED_RE.split(cleaned) if s.strip()]
-    segments = dedup_blocks(segments)
-    return _segments_to_text(segments, "block")
+    return join_segments([(s, "block") for s in dedup_blocks(segments)])
 
 
 def extract_html(text: str) -> tuple[str, list[Span]]:
     """HTML path: DOM strip at one granularity, then order-preserving dedup."""
     paragraphs, used_fallback = extract_html_main_content(text)
-    paragraphs = dedup_blocks(paragraphs)
     kind = "block" if used_fallback else "paragraph"
-    return _segments_to_text(paragraphs, kind)
+    return join_segments([(p, kind) for p in dedup_blocks(paragraphs)])
 
 
 def extract_pdfish(text: str) -> tuple[str, list[Span]]:
-    """PDF-ish path: parse positioned boxes, dedup, cluster, reading-order join.
+    """PDF-ish path: decode once, parse positioned boxes, dedup, cluster, reading-order join.
 
     A PAGE-SHAPED payload (multi-page NDLOCR ``{"contents": [[...], ...]}``)
-    routes through the full paged document model (``extract_paged_turn``) so
-    the flagship applies M7/M11 semantics — per-page token assignment,
+    routes through the full paged document model (``paged_document``) so the
+    flagship applies M7/M11 semantics — per-page token assignment,
     fill-only-empty merge — instead of flattening pages together. Page
     boundaries surface as ``kind="page"`` spans over the form-feed-joined
     document (the same separator the plain path splits on).
     """
-    if infer_page_count(text or "") > 1:
-        doc, _n_pages, _hits = extract_paged_turn(text)
-        if not doc.strip():
-            return "", []
-        spans: list[Span] = []
-        pos = 0
-        for i, page in enumerate(doc.split(PAGE_SEP)):
-            if i:
-                pos += 1
-            spans.append((pos, pos + len(page), "page"))
-            pos += len(page)
-        return doc, spans
-    boxes, blocks = parse_pdfish_payload(text)
-    boxes = dedup_boxes(boxes)
-    blocks = dedup_blocks(blocks)
-    return assemble_layout_text(boxes, blocks)
+    data = decode_payload(text)
+    if page_count_of(data) > 1:
+        result, _hits = paged_document(data, text)
+        doc, spans = join_segments([(page, "page") for page in page_texts(result)], PAGE_SEP)
+        return (doc, spans) if doc.strip() else ("", [])
+    return dedup_and_assemble(*collect_payload(data))
 
 
 def extract_xml(text: str) -> tuple[str, list[Span]]:
     """XML path: NDLOCR/ALTO/PAGE-XML positioned tokens through the same
     dedup + layout kernel as the pdfish path (reference app.py:1911-2007)."""
-    boxes, blocks = parse_xml_payload(text)
-    boxes = dedup_boxes(boxes)
-    blocks = dedup_blocks(blocks)
-    return assemble_layout_text(boxes, blocks)
+    return dedup_and_assemble(*parse_xml_payload(text))
 
 
 #: user-extension surface (reference U1/U3: injected pipeline callables,
@@ -202,10 +176,7 @@ def extract_turn(text: str | None, kind: str) -> tuple[str, list[Span], str, str
         except Exception:
             if kind not in FALLBACK_KINDS:
                 raise
-            extracted, spans = extract_plain(raw)
-            if extracted:
-                return extracted, spans, ACTION_FALLBACK, ""
-            return "", [], ACTION_EMPTY, ""
+            extracted = ""  # a failed structured parse yields nothing
         if not extracted:
             if kind in FALLBACK_KINDS:
                 extracted, spans = extract_plain(raw)

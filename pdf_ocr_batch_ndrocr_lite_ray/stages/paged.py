@@ -1,22 +1,26 @@
 """Page-aware payload parsing and multi-source merge (reference M11/M12).
 
-The flagship extractor flattens a turn's payload into one fragment; this
-module carries the reference's full MULTI-PAGE document model for payloads
-that are themselves paged (NDLOCR-style ``{"contents": [[...page...], ...]}``
-JSON), plus the merge rules that combine several sources into one document:
+The flagship extractor flattens a single-page payload into one fragment;
+this module carries the reference's full MULTI-PAGE document model for
+payloads that are themselves paged (NDLOCR-style
+``{"contents": [[...page...], ...]}`` JSON), plus the merge rules that
+combine several sources into one document. Every function past the
+``*_turn``/``parse_*`` text entry points works on the object
+``payload.decode_payload`` returned, so a turn is decoded once:
 
-- ``parse_pdfish_pages`` mirrors ``OCRResultParser._parse_json_file``
+- ``route_pages`` mirrors ``OCRResultParser._parse_json_file``
   (app.py:1825-1909): the NDLOCR fast path assigns ``contents[i]`` to page
   ``i`` when the list length matches the page count, a single-element
   ``contents`` is attributed via the fuzzy name guess on
-  ``imginfo.img_name``, and the generic visit inherits/overrides page hints
-  per mapping, parking unattributable content on the ``-1`` bucket.
+  ``imginfo.img_name``, and otherwise the shared walker
+  (``payload.walk_payload``) reports the page hint each mapping inherits or
+  overrides, unattributable content landing on the ``-1`` bucket.
 - ``merge_assignments`` mirrors ``_merge_assignments`` (app.py:1742-1788):
   per-page tokens/texts extend the page state, gated by
   ``only_empty_pages`` (tokens skip pages that already have tokens; texts
   skip pages that have ANY text), and the ``-1`` bucket lands on the page
   guessed from the source name (single-page documents claim everything).
-- ``extract_paged_turn`` chains them the way the reference's priority loop
+- ``paged_document`` chains them the way the reference's priority loop
   does (app.py:1663-1687): structured parse first, then the raw payload as
   a plain-text fallback source merged with ``only_empty_pages=True`` —
   lower-priority formats fill only what the structured parse left empty.
@@ -27,21 +31,13 @@ Both kernels are fuzz-tested against the reference implementation directly
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..functions.geometry import (
-    Box,
-    bbox_from_mapping,
-    looks_like_text_leaf,
-    page_hint,
-    text_from_mapping,
-)
+from ..functions.geometry import Box, bbox_from_mapping, text_from_mapping
 from ..functions.layout import assemble_layout_text, dedup_boxes
 from ..functions.textnorm import guess_page_index, normalize_text
-
-_MAX_DEPTH = 64
+from .payload import decode_payload, walk_payload
 
 PAGE_SEP = "\f"
 
@@ -60,6 +56,73 @@ class PageOcr:
         return any(bool((t or "").strip()) for t in self.text_blocks)
 
 
+def _page_lists(data: Any) -> Optional[list]:
+    """The NDLOCR ``contents`` list of a decoded payload when every item is a
+    page (a list), else None."""
+    contents = data.get("contents") if isinstance(data, dict) else None
+    if isinstance(contents, list) and contents and all(isinstance(p, list) for p in contents):
+        return contents
+    return None
+
+
+def page_count_of(data: Any) -> int:
+    """Payload-intrinsic page count of a decoded payload: the NDLOCR
+    ``contents`` list length when it is page-structured, else 1 (a turn is
+    one fragment)."""
+    pages = _page_lists(data)
+    return len(pages) if pages else 1
+
+
+def _imginfo_page(data: dict, page_names: list[str]) -> Optional[int]:
+    """Page fuzzy-guessed from ``imginfo.img_name`` (or ``img_path``/``img``)."""
+    imginfo = data.get("imginfo")
+    if isinstance(imginfo, dict):
+        img_name = imginfo.get("img_name") or imginfo.get("img_path") or imginfo.get("img")
+        if isinstance(img_name, str) and img_name.strip():
+            return guess_page_index(_stem(img_name), page_names)
+    return None
+
+
+def _contents_entries(hinted: list[tuple[int, Any]]) -> tuple[list, list]:
+    """NDLOCR line entries → ``([(hint, box)], [(hint, block)])``: a mapping
+    with text is a box when it has a bbox, else a block (no leaf test)."""
+    boxes: list[tuple[int, Box]] = []
+    blocks: list[tuple[int, str]] = []
+    for hint, entry in hinted:
+        value = text_from_mapping(entry) if isinstance(entry, dict) else None
+        cleaned = normalize_text(value) if value else ""
+        if not cleaned:
+            continue
+        bbox = bbox_from_mapping(entry)
+        if bbox is not None:
+            boxes.append((hint, Box(text=cleaned, x1=bbox[0], y1=bbox[1], x2=bbox[2], y2=bbox[3])))
+        else:
+            blocks.append((hint, cleaned))
+    return boxes, blocks
+
+
+def route_pages(
+    data: Any, page_count: int, page_names: list[str]
+) -> tuple[dict[int, list[Box]], dict[int, list[str]]]:
+    """Decoded payload → (page → boxes, page → text blocks); -1 = unattributed."""
+    pages = _page_lists(data)
+    img_page = _imginfo_page(data, page_names) if pages is not None and len(pages) == 1 else None
+    if pages is not None and len(pages) == page_count:  # NDLOCR: contents[i] is page i
+        boxes, blocks = _contents_entries([(i, e) for i, lines in enumerate(pages) for e in lines])
+    elif img_page is not None:  # one contents page, attributed by its image name
+        boxes, blocks = _contents_entries([(img_page, e) for e in pages[0]])
+    else:
+        boxes, blocks = walk_payload(data, page_count)
+    valid_pages = set(range(page_count))
+    token_map: dict[int, list[Box]] = {}
+    text_map: dict[int, list[str]] = {}
+    for hint, box in boxes:
+        token_map.setdefault(hint if hint in valid_pages else -1, []).append(box)
+    for hint, block in blocks:
+        text_map.setdefault(hint if hint in valid_pages else -1, []).append(block)
+    return token_map, text_map
+
+
 def parse_pdfish_pages(
     text: str, page_count: int, page_names: list[str]
 ) -> tuple[dict[int, list[Box]], dict[int, list[str]]]:
@@ -67,84 +130,7 @@ def parse_pdfish_pages(
 
     Raises ``ValueError`` on undecodable JSON (the caller isolates).
     """
-    try:
-        data = json.loads(text)
-    except Exception as exc:
-        raise ValueError(f"payload JSON decode failed: {exc}") from exc
-
-    token_map: dict[int, list[Box]] = {}
-    text_map: dict[int, list[str]] = {}
-    valid_pages = set(range(page_count))
-
-    def add_token(hint: Optional[int], box: Box) -> None:
-        normalized = normalize_text(box.text)
-        if not normalized:
-            return
-        page = hint if hint in valid_pages else -1
-        token_map.setdefault(page, []).append(
-            Box(text=normalized, x1=box.x1, y1=box.y1, x2=box.x2, y2=box.y2)
-        )
-
-    def add_text(hint: Optional[int], value: str) -> None:
-        cleaned = normalize_text(value)
-        if not cleaned:
-            return
-        page = hint if hint in valid_pages else -1
-        text_map.setdefault(page, []).append(cleaned)
-
-    def add_entry(hint: Optional[int], entry: Any) -> None:
-        if not isinstance(entry, dict):
-            return
-        value = text_from_mapping(entry)
-        bbox = bbox_from_mapping(entry)
-        if value and bbox is not None:
-            add_token(hint, Box(text=value, x1=bbox[0], y1=bbox[1], x2=bbox[2], y2=bbox[3]))
-        elif value:
-            add_text(hint, value)
-
-    # NDLOCR fast path: {"contents": [[{...}], ...], "imginfo": {...}}
-    if isinstance(data, dict) and isinstance(data.get("contents"), list):
-        contents = data.get("contents") or []
-        img_hint: Optional[int] = None
-        imginfo = data.get("imginfo")
-        if isinstance(imginfo, dict):
-            img_name = imginfo.get("img_name") or imginfo.get("img_path") or imginfo.get("img")
-            if isinstance(img_name, str) and img_name.strip():
-                img_hint = guess_page_index(_stem(img_name), page_names)
-        if contents and all(isinstance(item, list) for item in contents):
-            if len(contents) == page_count:
-                for idx, lines in enumerate(contents):
-                    for entry in lines:
-                        add_entry(idx, entry)
-                return token_map, text_map
-            if len(contents) == 1 and img_hint is not None:
-                for entry in contents[0]:
-                    add_entry(img_hint, entry)
-                return token_map, text_map
-
-    def visit(node: Any, inherited: Optional[int], depth: int = 0) -> None:
-        if depth > _MAX_DEPTH:
-            return
-        if isinstance(node, dict):
-            hint = page_hint(node, inherited, page_count)
-            value = text_from_mapping(node)
-            bbox = bbox_from_mapping(node)
-            if value and bbox is not None:
-                add_token(
-                    hint, Box(text=value, x1=bbox[0], y1=bbox[1], x2=bbox[2], y2=bbox[3])
-                )
-                return
-            if value and looks_like_text_leaf(node):
-                add_text(hint, value)
-                return
-            for v in node.values():
-                visit(v, hint, depth + 1)
-        elif isinstance(node, list):
-            for item in node:
-                visit(item, inherited, depth + 1)
-
-    visit(data, None)
-    return token_map, text_map
+    return route_pages(decode_payload(text), page_count, page_names)
 
 
 def _stem(name: str) -> str:
@@ -171,8 +157,10 @@ def merge_assignments(
     """
     hit = 0
     target_page = guess_page_index(_stem(src_name), page_names)
-    generic_tokens = assignments.pop(-1, []) if -1 in assignments else []
-    generic_texts = texts.pop(-1, []) if -1 in texts else []
+    if target_page is None and len(page_names) == 1:
+        target_page = 0
+    generic_tokens = assignments.pop(-1, [])
+    generic_texts = texts.pop(-1, [])
 
     for page_index, tokens in assignments.items():
         if page_index in result and tokens:
@@ -189,73 +177,55 @@ def merge_assignments(
                 result[page_index].text_blocks.extend(cleaned)
                 hit += 1
 
-    if generic_tokens:
-        if target_page is None and len(page_names) == 1:
-            target_page = 0
-        if target_page is not None:
-            if (not only_empty_pages) or (not result[target_page].tokens):
-                result[target_page].tokens.extend(generic_tokens)
-                hit += 1
-    if generic_texts:
-        if target_page is None and len(page_names) == 1:
-            target_page = 0
-        if target_page is not None:
-            if (not only_empty_pages) or (not result[target_page].has_any_text()):
-                result[target_page].text_blocks.extend(
-                    [b for b in generic_texts if (b or "").strip()]
-                )
-                hit += 1
+    if generic_tokens and target_page is not None:
+        if not (only_empty_pages and result[target_page].tokens):
+            result[target_page].tokens.extend(generic_tokens)
+            hit += 1
+    if generic_texts and target_page is not None:
+        if not (only_empty_pages and result[target_page].has_any_text()):
+            result[target_page].text_blocks.extend([b for b in generic_texts if (b or "").strip()])
+            hit += 1
     return hit
 
 
-def assemble_pages(result: dict[int, PageOcr]) -> str:
-    """Document text: per-page layout assembly joined by form feed, pages in
-    index order — the engine's page separator convention (the plain path
-    splits on the same character)."""
-    parts: list[str] = []
+def page_texts(result: dict[int, PageOcr]) -> list[str]:
+    """Per-page layout assembly, pages in index order."""
+    texts: list[str] = []
     for idx in sorted(result):
-        page = result[idx]
-        boxes = dedup_boxes(page.tokens)
-        blocks = [b for b in page.text_blocks if (b or "").strip()]
-        text, _spans = assemble_layout_text(boxes, blocks)
-        parts.append(text)
-    return PAGE_SEP.join(parts)
+        blocks = [b for b in result[idx].text_blocks if (b or "").strip()]
+        texts.append(assemble_layout_text(dedup_boxes(result[idx].tokens), blocks)[0])
+    return texts
+
+
+def assemble_pages(result: dict[int, PageOcr]) -> str:
+    """Document text: the page texts joined by form feed — the engine's page
+    separator convention (the plain path splits on the same character)."""
+    return PAGE_SEP.join(page_texts(result))
 
 
 def infer_page_count(text: str) -> int:
-    """Payload-intrinsic page count: the NDLOCR ``contents`` list length when
-    the payload is page-structured, else 1 (a turn is one fragment)."""
+    """``page_count_of`` the decoded payload; 1 when it does not decode."""
     try:
-        data = json.loads(text)
-    except Exception:
+        return page_count_of(decode_payload(text))
+    except ValueError:
         return 1
-    if isinstance(data, dict) and isinstance(data.get("contents"), list):
-        contents = data["contents"]
-        if contents and all(isinstance(item, list) for item in contents):
-            return len(contents)
-    return 1
 
 
-def extract_paged_turn(text: str | None, src_name: str = "") -> tuple[str, int, int]:
-    """(document_text, n_pages, merge_hits) for one pdfish turn.
+def paged_document(data: Any, raw: str, src_name: str = "") -> tuple[dict[int, PageOcr], int]:
+    """(page index → merged page state, merge_hits) for one decoded pdfish turn.
 
-    The reference's priority chain in per-turn form: the structured JSON
-    parse merges first; the raw payload then merges as a generic plain-text
-    source with ``only_empty_pages=True``, filling only pages the
-    structured parse left empty.
+    The reference's priority chain in per-turn form: the structured parse
+    of ``data`` merges first; the raw payload then merges as a generic
+    plain-text source with ``only_empty_pages=True``, filling only pages
+    the structured parse left empty.
     """
-    raw = text or ""
-    n_pages = infer_page_count(raw)
+    n_pages = page_count_of(data)
     page_names = [f"p{i + 1:04d}" for i in range(n_pages)]
     result = {i: PageOcr() for i in range(n_pages)}
-    hits = 0
-    try:
-        token_map, text_map = parse_pdfish_pages(raw, n_pages, page_names)
-        hits += merge_assignments(
-            result, token_map, text_map, src_name, page_names, only_empty_pages=False
-        )
-    except ValueError:
-        pass  # undecodable JSON: the fallback below is the only source
+    token_map, text_map = route_pages(data, n_pages, page_names)
+    hits = merge_assignments(
+        result, token_map, text_map, src_name, page_names, only_empty_pages=False
+    )
     if not any(p.has_any_text() for p in result.values()):
         # structured parse yielded nothing anywhere: the raw payload is the
         # turn's lowest-priority plain representation (flagship M7 rule),
@@ -265,4 +235,18 @@ def extract_paged_turn(text: str | None, src_name: str = "") -> tuple[str, int, 
             hits += merge_assignments(
                 result, {}, {-1: [fallback]}, src_name, page_names, only_empty_pages=True
             )
-    return assemble_pages(result), n_pages, hits
+    return result, hits
+
+
+def extract_paged_turn(text: str | None, src_name: str = "") -> tuple[str, int, int]:
+    """(document_text, n_pages, merge_hits) for one pdfish turn: one decode,
+    then ``paged_document``."""
+    raw = text or ""
+    try:
+        data = decode_payload(raw)
+    except ValueError:
+        # undecodable JSON carries no structure, exactly like a decoded
+        # ``null``: one page, and the raw fallback is the only source
+        data = None
+    result, hits = paged_document(data, raw, src_name)
+    return assemble_pages(result), len(result), hits

@@ -90,6 +90,19 @@ def completed_partitions(out_dir: Union[str, Path]) -> dict[str, dict]:
     return out
 
 
+def committed_totals(out_dir: Union[str, Path]) -> dict:
+    """Committed partitions, their output rows and summed per-action counts."""
+    done = completed_partitions(out_dir)
+    actions: Counter = Counter()
+    for manifest in done.values():
+        actions.update(manifest.get("actions", {}))
+    return {
+        "partitions_committed": len(done),
+        "rows": sum(m.get("output_rows", 0) for m in done.values()),
+        "actions": dict(actions),
+    }
+
+
 def _add_part_id_column(batch: pa.Table) -> pa.Table:
     """Derive part_id from the ``path`` column added by ``include_paths``.
 
@@ -235,16 +248,10 @@ def run_resumable_extraction(
     else:
         run_seconds, run_rows = 0.0, 0
 
-    done = completed_partitions(out_dir)
-    totals: Counter = Counter()
-    for manifest in done.values():
-        totals.update(manifest.get("actions", {}))
     report = {
         "partitions_total": len(plan),
-        "partitions_committed": len(done),
+        **committed_totals(out_dir),
         "partitions_skipped_resume": skipped,
-        "rows": sum(m.get("output_rows", 0) for m in done.values()),
-        "actions": dict(totals),
         "this_run": {
             "partitions": len(remaining),
             "rows": run_rows,
@@ -277,22 +284,17 @@ def _count_partition_remote(partition_dir: str, input_path: str) -> tuple[dict, 
 
 
 def _count_actions(partition_dir: Path) -> Counter:
-    if not partition_dir.exists():
-        return Counter()
-    dataset = pads.dataset(str(partition_dir), format="parquet")
+    return count_values(partition_dir, "action") if partition_dir.exists() else Counter()
+
+
+def count_values(path: Union[str, Path], column: str) -> Counter:
+    """Rows per value of one column over the parquet files under ``path``."""
     counts: Counter = Counter()
-    for batch in dataset.to_batches(columns=["action"]):
-        for value, n in zip(*_value_counts(batch.column(0))):
-            counts[value] += n
+    for batch in pads.dataset(str(path), format="parquet").to_batches(columns=[column]):
+        vc = pc.value_counts(batch.column(0))
+        for value, n in zip(vc.field("values"), vc.field("counts")):
+            counts[value.as_py()] += n.as_py()
     return counts
-
-
-def _value_counts(arr: pa.Array) -> tuple[list[str], list[int]]:
-    vc = pc.value_counts(arr)
-    return (
-        [v.as_py() for v in vc.field("values")],
-        [c.as_py() for c in vc.field("counts")],
-    )
 
 
 def read_extracted(out_dir: Union[str, Path]) -> "ray.data.Dataset":

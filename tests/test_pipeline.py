@@ -509,6 +509,57 @@ class TestResume:
         golden_rows = sum(oracle_extract_parquet(p).num_rows for p in paths)
         assert report["rows"] == golden_rows
 
+    def test_cli_reports_count_like_the_oracle(self, tmp_path):
+        """The JSON reports of ``extract``, ``resume``, ``report`` and
+        ``prep`` count what was written: action counts equal the oracle's,
+        split counts equal the written ``split`` column. Each command runs
+        in its own process (``cli.main`` shuts Ray down)."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from collections import Counter
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+
+        def cli(*args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pdf_ocr_batch_ndrocr_lite_ray.cli", *args],
+                cwd=repo, env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+
+        golden = Counter()
+        for p in paths:
+            golden.update(oracle_extract_parquet(p)["action"].to_pylist())
+        golden = dict(golden)
+
+        extracted = cli("extract", "--num-cpus", "2", "--input", *paths,
+                        "--output", str(tmp_path / "ext"))
+        assert extracted["actions"] == golden
+        assert extracted["rows"] == sum(golden.values())
+
+        ckpt = str(tmp_path / "ckpt")
+        cli("resume", "--num-cpus", "2", "--input", *paths, "--output", ckpt,
+            "--max-partitions", "1")
+        resumed = cli("resume", "--num-cpus", "2", "--input", *paths, "--output", ckpt)
+        assert resumed["partitions_skipped_resume"] == 1
+        reported = cli("report", "--output", ckpt)
+        for report in (resumed, reported):
+            assert report["actions"] == golden
+            assert report["rows"] == sum(golden.values())
+            assert report["partitions_committed"] == 2
+
+        prep_out = tmp_path / "prep"
+        prepped = cli("prep", "--num-cpus", "2", "--input", *paths, "--output", str(prep_out))
+        written = Counter(pq.read_table(prep_out, columns=["split"])["split"].to_pylist())
+        assert prepped["splits"] == dict(written)
+        assert prepped["conversations"] == sum(written.values()) > 0
+
 
 class TestWaveCommit:
     """Per-wave manifest commit: a job that dies mid-run recovers every

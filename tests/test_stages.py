@@ -236,6 +236,27 @@ class TestExtractTurn:
         assert action == ACTION_EXTRACTED and text == "only"
         assert all(k != "page" for _, _, k in spans)
 
+    def test_pdfish_decodes_payload_once(self, monkeypatch):
+        """The page count, the flat parse and the paged merge share one
+        ``json.loads`` of the turn, single-page and multi-page alike."""
+        single = '{"contents": [[{"text": "only", "boundingBox": [0,0,9,9]}]]}'
+        paged = json.dumps(
+            {"contents": [[{"text": f"page {i}", "boundingBox": [0, 0, 9, 9]}] for i in range(3)]}
+        )
+        real_loads = json.loads
+        calls = []
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        for payload, n_spans in ((single, 1), (paged, 3)):
+            calls.clear()
+            text, spans, action, _ = extract_turn(payload, "pdfish")
+            assert action == ACTION_EXTRACTED and len(spans) == n_spans
+            assert len(calls) == 1, f"{len(calls)} decodes of a {n_spans}-page payload"
+
     def test_spans_cover_text_exactly(self):
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import generate_rows
         from pdf_ocr_batch_ndrocr_lite_ray.stages.sniffer import classify_one
