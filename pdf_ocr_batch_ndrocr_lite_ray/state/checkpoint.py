@@ -10,11 +10,15 @@ Ray-native analog here:
   scheduling — so the partition layout is identical at any parallelism,
   which is what makes the N vs 4N scaling runs byte-comparable and resume
   deterministic.
-- output rows are written with ``write_parquet(partition_cols=["part_id"])``
-  → one directory per input fragment (``part_id=<hex>/``), never one giant
-  file.
+- each wave runs one task per fragment (``from_items → map_batches``). The
+  task reads its fragment a row group (or ``batch_size`` rows) at a time,
+  extracts, writes one fixed-name file ``part_id=<hex>/part-0.parquet``
+  and counts the ``action`` column of what that dir holds — counters come
+  from the written output, never from driver-side accumulation. A retried
+  or resumed task recomputes the same rows from the same lineage and
+  overwrites its own file, so it leaves no orphan beside it.
 - fragments are processed in bounded WAVES (``wave_size`` fragments per
-  streaming job); after each wave's write completes, a manifest
+  Ray Data job); once every task of a wave has finished, a manifest
   ``_ckpt/<part_id>.json`` is committed per fragment recording lineage
   (input path, row count), output row count, and per-action counters —
   the manifest is the commit marker, written strictly AFTER the data,
@@ -24,16 +28,10 @@ Ray-native analog here:
   Wave-granular commit means a job killed after k waves resumes at wave
   k+1 instead of reprocessing the whole run; the wave size trades resume
   granularity against per-job pipeline startup cost.
-- **resume**: fragments with a manifest are filtered out of the read (the
+- **resume**: fragments with a manifest are filtered out of the plan (the
   skip happens at the *file list*, so completed partitions cost zero I/O);
   partition dirs without a manifest are torn down and rewritten
   (idempotent overwrite-by-name, the reference's conflict=overwrite mode).
-
-Counters are recovered from the written output (a footer + single-column
-scan of ``action``), not from a driver-side accumulation, so they stay
-correct across retries and partial failures. The scans run as parallel Ray
-tasks (one per fragment), so inter-wave driver time is O(manifests
-written), independent of the wave's output volume.
 """
 
 from __future__ import annotations
@@ -54,10 +52,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..pipelines.extraction import build_extraction, package_runtime_env
+from ..pipelines.extraction import package_runtime_env
+from ..stages.extract import extract_batch
 
 DATA_SUBDIR = "data"
 CKPT_SUBDIR = "_ckpt"
+PART_FILE = "part-0.parquet"
 
 
 def part_id_for_path(path: Union[str, Path]) -> str:
@@ -103,31 +103,16 @@ def committed_totals(out_dir: Union[str, Path]) -> dict:
     }
 
 
-def _add_part_id_column(batch: pa.Table) -> pa.Table:
-    """Derive part_id from the ``path`` column added by ``include_paths``.
-
-    Only the batch's few distinct paths are hashed; each row then takes its
-    path's id by index.
-    """
-    paths = batch["path"]
-    distinct = pc.unique(paths)
-    ids = pa.array([part_id_for_path(p) for p in distinct.to_pylist()], type=pa.string())
-    part_ids = pc.take(ids, pc.index_in(paths, value_set=distinct))
-    batch = batch.drop_columns(["path"])
-    return batch.append_column("part_id", part_ids)
-
-
 def _default_wave_size() -> int:
     """Fragments per streaming job — the durability-granularity knob.
 
-    Each wave boundary costs a fixed ~6-7 s (pipeline startup + drain
-    barrier + manifest commit; measured on the 64-shard bench corpus:
-    wave=16 → 25.2 s, wave=32 → 19.3 s, wave=64/single-wave → 12.6 s, equal
-    to extract + write). 4× the CPU count keeps that overhead ≤ a few
-    percent of any wave that saturates the machine, while a kill still
-    loses at most one wave — negligible against a 10^12-turn job's
-    fragment count. Callers needing finer recovery granularity pass
-    ``wave_size`` explicitly."""
+    A wave boundary costs one Ray Data job start plus a drain barrier and
+    the manifest commits. On the 64-shard bench corpus (sf0.01, 24,695
+    turns, 2 Ray CPUs on a 4-vCPU VM) wave=16 / 32 / 64 ran in 5.4 / 5.5 /
+    5.3 s, so a boundary costs well under a second. 4× the CPU count keeps
+    every wave wide enough to saturate the machine, while a kill still
+    loses at most one wave. Callers needing finer recovery granularity
+    pass ``wave_size`` explicitly."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
@@ -165,7 +150,8 @@ def run_resumable_extraction(
     (out_dir / CKPT_SUBDIR).mkdir(parents=True, exist_ok=True)
     (out_dir / DATA_SUBDIR).mkdir(parents=True, exist_ok=True)
 
-    inputs = sorted(str(p) for p in input_paths)
+    # distinct inputs: a path listed twice would be two writers of one file
+    inputs = sorted({str(p) for p in input_paths})
     done = completed_partitions(out_dir)
     plan = [(part_id_for_path(p), p) for p in inputs]
     remaining = [(pid, p) for pid, p in plan if pid not in done]
@@ -185,44 +171,35 @@ def run_resumable_extraction(
             shutil.rmtree(pdir)
 
     if remaining:
-        # every task below imports this package on a worker; ship its
-        # location so a driver whose cwd is not the repo root still works
-        runtime_env = package_runtime_env()
-        count_remote = _count_partition_remote.options(runtime_env=runtime_env)
         wave = wave_size or _default_wave_size()
         run_started = time.monotonic()
         run_rows = 0
         for start in range(0, len(remaining), wave):
             batch_frags = remaining[start : start + wave]
-            ds = ray.data.read_parquet(
-                [p for _, p in batch_frags], include_paths=True
-            )
-            ds = ds.map_batches(
-                _add_part_id_column,
+            # one task per fragment: read, extract, write and count it; every
+            # task imports this package on a worker, so ship its location for
+            # a driver whose cwd is not the repo root
+            ds = ray.data.from_items(
+                [{"part_id": pid, "path": path} for pid, path in batch_frags],
+                override_num_blocks=len(batch_frags),
+            ).map_batches(
+                _extract_partitions,
                 batch_format="pyarrow",
-                runtime_env=runtime_env,
+                batch_size=None,
+                fn_kwargs={"out_dir": str(out_dir), "batch_size": batch_size},
+                runtime_env=package_runtime_env(),
             )
-            ds = build_extraction(ds, batch_size=batch_size)
-            ds.write_parquet(str(out_dir / DATA_SUBDIR), partition_cols=["part_id"])
+            results = {r["part_id"]: r for r in ds.take_all()}
 
-            # commit: manifests written AFTER this wave's data is durable,
-            # BEFORE the next wave starts — the streaming checkpoint.
-            # Counting is DISTRIBUTED (one task per fragment, reading the
-            # durable output's action column + the input footer), so the
-            # inter-wave driver work is O(wave manifests), not a serial
-            # scan of the wave's output. Raw tasks, not a Dataset job:
-            # per-wave pipeline startup would dwarf these footer-sized reads.
-            count_refs = [
-                count_remote.remote(str(_partition_dir(out_dir, pid)), path)
-                for pid, path in batch_frags
-            ]
-            # extraction is 1:1: a partition holding more or fewer rows than
-            # its input (e.g. an orphan file left by a retried write task)
-            # is torn down, never committed
+            # commit: manifests written only after every task of this wave
+            # finished, BEFORE the next wave starts — the streaming
+            # checkpoint. Extraction is 1:1: a partition holding more or
+            # fewer rows than its input (e.g. an orphan file left by an
+            # earlier writer) is torn down, never committed
             uneven = []
-            for (pid, path), (actions, input_rows) in zip(
-                batch_frags, ray.get(count_refs)
-            ):
+            for pid, path in batch_frags:
+                input_rows = results[pid]["input_rows"]
+                actions = json.loads(results[pid]["actions"])
                 output_rows = sum(actions.values())
                 if output_rows != input_rows:
                     uneven.append(f"{path}: {output_rows} rows out, {input_rows} in")
@@ -234,7 +211,7 @@ def run_resumable_extraction(
                     "input_path": path,
                     "input_rows": input_rows,
                     "output_rows": output_rows,
-                    "actions": dict(actions),
+                    "actions": actions,
                 }
                 tmp = _manifest_path(out_dir, pid).with_suffix(".tmp")
                 tmp.write_text(json.dumps(manifest, sort_keys=True))
@@ -267,20 +244,37 @@ def run_resumable_extraction(
     return report
 
 
-@ray.remote(num_cpus=1)
-def _count_partition_remote(partition_dir: str, input_path: str) -> tuple[dict, int]:
-    """(action counts of the durable partition output, input fragment rows).
+def _extract_partitions(
+    frags: pa.Table, out_dir: str, batch_size: Optional[int]
+) -> pa.Table:
+    """Extract each ``(part_id, path)`` fragment into its partition dir.
 
-    Counters derive from what was actually WRITTEN (correct across retries
-    and partial failures) — never from driver-side accumulation. num_cpus
-    1: these tasks carry the extract tasks' runtime env, so at one per CPU
-    they reuse the wave's idle extract workers; at 0.5 each the pool needs
-    twice as many workers, each holding the imported package.
+    The fragment is read one row group at a time, or ``batch_size`` rows at
+    a time when given, so memory stays bounded by one batch. All batches go
+    through one writer to the fixed ``PART_FILE``. Returns per fragment the
+    input row count (from the footer) and, as JSON, the action counts of
+    what the partition dir holds afterwards.
     """
-    return (
-        dict(_count_actions(Path(partition_dir))),
-        pq.read_metadata(input_path).num_rows,
-    )
+    out = []
+    for frag in frags.to_pylist():
+        pdir = _partition_dir(Path(out_dir), frag["part_id"])
+        with pq.ParquetFile(frag["path"]) as f:
+            if batch_size:
+                chunks = (pa.Table.from_batches([b]) for b in f.iter_batches(batch_size))
+            else:
+                chunks = (f.read_row_group(i) for i in range(f.num_row_groups))
+            tables = (extract_batch(c) for c in chunks if c.num_rows)
+            first = next(tables, None)
+            if first is not None:  # an empty fragment writes no file
+                pdir.mkdir(parents=True, exist_ok=True)
+                with pq.ParquetWriter(pdir / PART_FILE, first.schema) as writer:
+                    writer.write_table(first)
+                    for table in tables:
+                        writer.write_table(table)
+            input_rows = f.metadata.num_rows
+        actions = json.dumps(dict(_count_actions(pdir)))
+        out.append({**frag, "input_rows": input_rows, "actions": actions})
+    return pa.Table.from_pylist(out)
 
 
 def _count_actions(partition_dir: Path) -> Counter:

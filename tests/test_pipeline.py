@@ -372,8 +372,8 @@ class TestResume:
         assert report_full["actions"] == report_r["actions"]
 
         # manifests byte-identical between the two runs, and identical to a
-        # local recount of the durable output — the distributed count tasks
-        # must be a pure relocation of the driver-side scan
+        # local recount of the durable output — the counts the per-fragment
+        # tasks return must equal a driver-side scan
         from pathlib import Path
 
         from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
@@ -393,30 +393,39 @@ class TestResume:
     def test_uneven_partition_is_torn_down_not_committed(
         self, ray_session, tmp_path, monkeypatch
     ):
-        """A partition holding more rows than its input (here an orphan copy
-        of a written file, as a retried write task can leave behind) is torn
-        down and the run raises; a resume then rewrites it."""
+        """A partition holding more rows than its input (here an orphan
+        extracted file that a writer of an earlier attempt put back after
+        the teardown) is torn down and the run raises; a resume then
+        rewrites it."""
         import shutil
         from pathlib import Path
 
         import ray
-        import ray.data
+        from pdf_ocr_batch_ndrocr_lite_ray.state import checkpoint
         from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
             completed_partitions,
+            part_id_for_path,
             read_extracted,
             run_resumable_extraction,
         )
 
         paths = self._write_shards(tmp_path, n_shards=2)
+        run_resumable_extraction(paths[:1], tmp_path / "earlier")
+        orphan = sorted((tmp_path / "earlier" / "data").rglob("*.parquet"))[0]
         out = tmp_path / "out"
-        write_parquet = ray.data.Dataset.write_parquet
+        stale = out / "data" / f"part_id={part_id_for_path(paths[0])}"
+        stale.mkdir(parents=True)
+        rmtree = shutil.rmtree
+        torn_down = []
 
-        def write_with_orphan(ds, path, **kwargs):
-            write_parquet(ds, path, **kwargs)
-            first = sorted(Path(path).glob("part_id=*/*.parquet"))[0]
-            shutil.copy(first, first.with_name("orphan-" + first.name))
+        def rmtree_then_orphan(path, *args, **kwargs):
+            rmtree(path, *args, **kwargs)
+            if Path(path) == stale and not torn_down:
+                torn_down.append(path)
+                stale.mkdir()
+                shutil.copy(orphan, stale / "orphan.parquet")
 
-        monkeypatch.setattr(ray.data.Dataset, "write_parquet", write_with_orphan)
+        monkeypatch.setattr(checkpoint.shutil, "rmtree", rmtree_then_orphan)
         with pytest.raises(RuntimeError, match="output rows != input rows"):
             run_resumable_extraction(paths, out)
         monkeypatch.undo()
@@ -459,6 +468,27 @@ class TestResume:
             [ray.get(r) for r in read_extracted(out).to_arrow_refs()]
         )
         _assert_tables_equal(ours, golden)
+
+    def test_input_listed_twice_commits_once(self, ray_session, tmp_path):
+        """A path given twice is one partition, extracted once."""
+        import ray
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+            read_extracted,
+            run_resumable_extraction,
+        )
+
+        paths = self._write_shards(tmp_path, n_shards=2)
+        out = tmp_path / "out"
+        report = run_resumable_extraction(paths + paths[:1], out)
+        assert report["partitions_total"] == 2
+        assert report["partitions_committed"] == 2
+
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        ours = pa.concat_tables(
+            [ray.get(r) for r in read_extracted(out).to_arrow_refs()]
+        )
+        _assert_tables_equal(ours, golden)
+        assert report["rows"] == golden.num_rows
 
     def test_resume_from_outside_repo_root(self, tmp_path):
         """A driver script run from outside the repo, importing the package
@@ -605,6 +635,50 @@ class TestWaveCommit:
         report = run_resumable_extraction(paths, out, wave_size=2)
         assert report["partitions_skipped_resume"] == 2
         assert report["partitions_committed"] == 4
+
+    def test_crash_between_data_and_manifest(self, ray_session, tmp_path, monkeypatch):
+        """A crash after a wave's data is written but during its manifest
+        commits resumes to exactly the uninterrupted run: same manifests,
+        same rows, and one file per partition (no orphan beside a rewrite)."""
+        import pathlib
+
+        import ray
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+            completed_partitions,
+            read_extracted,
+            run_resumable_extraction,
+        )
+
+        paths = self._write_shards(tmp_path)
+        full, out = tmp_path / "full", tmp_path / "out"
+        run_resumable_extraction(paths, full, wave_size=4)
+
+        replace = pathlib.Path.replace
+        commits = []
+
+        def crash_on_second_commit(self, target):
+            target = pathlib.Path(target)
+            if target.parent.name == "_ckpt" and target.name != "job.json":
+                commits.append(target)
+                if len(commits) == 2:
+                    raise OSError("crash before the manifest commit")
+            return replace(self, target)
+
+        monkeypatch.setattr(pathlib.Path, "replace", crash_on_second_commit)
+        with pytest.raises(OSError, match="crash before the manifest commit"):
+            run_resumable_extraction(paths, out, wave_size=4)
+        monkeypatch.undo()
+        assert len(completed_partitions(out)) == 1
+
+        run_resumable_extraction(paths, out, wave_size=4)
+        assert completed_partitions(out) == completed_partitions(full)
+        a = pa.concat_tables([ray.get(r) for r in read_extracted(full).to_arrow_refs()])
+        b = pa.concat_tables([ray.get(r) for r in read_extracted(out).to_arrow_refs()])
+        _assert_tables_equal(b, a)
+        part_dirs = sorted((out / "data").glob("part_id=*"))
+        assert len(part_dirs) == 4
+        for part_dir in part_dirs:
+            assert len(list(part_dir.glob("*.parquet"))) == 1, part_dir
 
     def test_wave_size_invariance(self, ray_session, tmp_path):
         import ray
