@@ -154,7 +154,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if out is None:
         return 2
     if args.output_format == "jsonl":
-        ds = ds.drop_columns([c for c in ["spans"] if c in ds.schema().names])
+        ds = ds.drop_columns(["spans"])  # always there; schema() would run the pipeline
         ds.write_json(str(out))
     else:
         ds.write_parquet(str(out))

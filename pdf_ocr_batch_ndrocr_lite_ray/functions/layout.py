@@ -27,7 +27,6 @@ from operator import attrgetter
 
 from .geometry import Box
 from .textnorm import (
-    collapse_spaces_japanese,
     contains_japanese,
     is_ascii_word_like,
     normalize_text,
@@ -123,37 +122,28 @@ def join_line(boxes: list[Box]) -> str:
         return ""
     pieces: list[str] = []
     prev: Box | None = None
-    line_has_japanese = any(contains_japanese(normalize_text(b.text)) for b in boxes)
-    for box in boxes:
-        cur = normalize_text(box.text)
+    prev_text = ""
+    texts = [normalize_text(b.text) for b in boxes]
+    line_has_japanese = any(contains_japanese(t) for t in texts)
+    for box, cur in zip(boxes, texts):
         if not cur:
             continue
-        if prev is None:
-            pieces.append(cur)
-            prev = box
-            continue
-        prev_text = normalize_text(prev.text)
-        gap = max(0.0, float(box.x1) - float(prev.x2))
-        gap_ratio = gap / max(1.0, min(prev.height, box.height))
-        need_space = False
-        if line_has_japanese:
-            if (
-                is_ascii_word_like(prev_text)
-                and is_ascii_word_like(cur)
-                and gap_ratio >= _GAP_RATIO_SPACE_JP_ASCII
-            ):
-                need_space = True
-        else:
-            if gap_ratio >= _GAP_RATIO_SPACE:
-                need_space = True
-        if need_space and pieces:
-            pieces.append(" ")
+        if prev is not None:
+            gap = max(0.0, float(box.x1) - float(prev.x2))
+            gap_ratio = gap / max(1.0, min(prev.height, box.height))
+            if line_has_japanese:
+                need_space = (
+                    is_ascii_word_like(prev_text)
+                    and is_ascii_word_like(cur)
+                    and gap_ratio >= _GAP_RATIO_SPACE_JP_ASCII
+                )
+            else:
+                need_space = gap_ratio >= _GAP_RATIO_SPACE
+            if need_space:
+                pieces.append(" ")
         pieces.append(cur)
-        prev = box
-    joined = "".join(pieces)
-    if line_has_japanese:
-        return collapse_spaces_japanese(joined)
-    return polish_line(joined)
+        prev, prev_text = box, cur
+    return polish_line("".join(pieces))
 
 
 def join_vertical_column(boxes: list[Box]) -> str:

@@ -15,9 +15,18 @@ semantically identical to the reference implementation:
 - ``tokenize_name``              ⇔ ``_tokenize_name``               (app.py:4124-4125)
 - ``page_number_from_name``      ⇔ ``_extract_page_number_from_name`` (app.py:4129-4141)
 
-All functions are pure; the regex tables are compiled once at module import
+All functions are pure; the regexes are compiled once at module import
 (one import per Ray worker process — the "state built once per worker" pattern).
-The fixpoint loops guarantee idempotence: ``f(f(x)) == f(x)`` (property-tested).
+
+The reference applies each space-deletion rule list over and over until the
+string stops changing. Here each list is one alternation applied once, and
+that reaches the same fixpoint: after the whitespace collapse every space
+(or, in the Japanese collapse, every space run) sits between two non-space
+characters, every rule decides on those two neighbours alone, and deleting
+one space never changes another space's neighbours. So a space the first
+pass keeps is kept by every later pass, and ``f(f(x)) == f(x)``
+(tests/test_textnorm.py checks both forms agree and property-tests
+idempotence).
 """
 
 from __future__ import annotations
@@ -28,34 +37,39 @@ from typing import Any, Optional
 
 _WS_RE = re.compile(r"\s+")
 
-# Fixpoint rule table for normalize_text: unwanted half-width spaces that OCR
-# tends to inject around CJK text, digits, currency, brackets and bullets
-# (reference rule list at app.py:3930-3938). Order matters; rules are applied
-# repeatedly until the string stops changing.
-_NORMALIZE_RULES: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"(?<=[぀-ヿ㐀-䶿一-鿿！-｠　-〿])\s+(?=[぀-ヿ㐀-䶿一-鿿！-｠　-〿])"), ""),
-    (re.compile(r"(?<=[A-Za-z])\s+(?=\d)"), ""),
-    (re.compile(r"(?<=\d)\s+(?=[A-Za-z])"), ""),
-    (re.compile(r"(?<=[\¥￥])\s+(?=\d)"), ""),
-    (re.compile(r"(?<=[（\(\[【「『])\s+"), ""),
-    (re.compile(r"\s+(?=[）\)\]】」』、。，．,:;])"), ""),
-    (re.compile(r"(?<=[●•])\s+"), ""),
-]
+# Unwanted half-width spaces that OCR tends to inject around CJK text,
+# digits, currency, brackets and bullets (reference rule list at
+# app.py:3930-3938), one alternative per rule. It runs after the whitespace
+# collapse, so each space is a single " " and a 2-char lookbehind "X " sees
+# the character before it.
+_NORMALIZE_RE = re.compile(
+    r" (?:(?<=[぀-ヿ㐀-䶿一-鿿！-｠　-〿] )(?=[぀-ヿ㐀-䶿一-鿿！-｠　-〿])"
+    r"|(?<=[A-Za-z] )(?=\d)"
+    r"|(?<=\d )(?=[A-Za-z])"
+    r"|(?<=[\¥￥] )(?=\d)"
+    r"|(?<=[（\(\[【「『] )"
+    r"|(?=[）\)\]】」』、。，．,:;])"
+    r"|(?<=[●•] ))"
+)
 
 _JAPANESE_RE = re.compile(r"[ぁ-んァ-ヶ一-龯々〆〤ｦ-ﾟ]")
 _ASCII_WORD_RE = re.compile(r"[A-Za-z0-9%&/@#_+\-=:;.,]+")
 
-# Second fixpoint table used on Japanese-bearing lines after the aggressive
-# space collapse (reference rule list at app.py:3969-3977).
-_JP_COLLAPSE_RULES: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"(?<=[（(\[【「『]) +"), ""),
-    (re.compile(r" +(?=[）)\]】」』、。，．・：；！？])"), ""),
-    (re.compile(r"(?<=[●•]) +"), ""),
-    (re.compile(r"(?<=P) +(?=\d)"), ""),
-    (re.compile(r"(?<=\d) +(?=[頁ページ])"), ""),
-    (re.compile(r"(?<=\d) +(?=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤])"), ""),
-    (re.compile(r"(?<=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤]) +(?=\d)"), ""),
-]
+# Second rule list, used on Japanese-bearing lines after the aggressive
+# space collapse (reference rule list at app.py:3969-3977), one alternative
+# per rule. Spaces here can come in runs (an input that carries the
+# placeholder below), so each alternative checks the run's first space
+# against the character before it and deletes the whole run. ``(?<!  )``
+# skips match attempts inside a run, which keeps a long run linear.
+_JP_COLLAPSE_RE = re.compile(
+    r" (?<!  )(?:(?<=[（(\[【「『] ) *"
+    r"| *(?=[）)\]】」』、。，．・：；！？])"
+    r"|(?<=[●•] ) *"
+    r"|(?<=P ) *(?=\d)"
+    r"|(?<=\d ) *(?=[頁ページ])"
+    r"|(?<=\d ) *(?=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤])"
+    r"|(?<=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤] ) *(?=\d))"
+)
 
 # Placeholder used to protect ASCII-word inter-word spaces while every other
 # space is dropped (reference app.py:3964-3967).
@@ -70,41 +84,11 @@ def normalize_space(text: Optional[str]) -> str:
     return _WS_RE.sub(" ", text or "").strip()
 
 
-#: hard cap on fixpoint passes: real text converges in ≤4 passes (pinned by
-#: tests/test_extraction_oracle.py), so 64 never changes a legitimate
-#: result — it only bounds the adversarial worst case (a payload crafted so
-#: each pass deletes one space is otherwise O(n) passes × O(n) scan).
-#: The straggler guard SURVEY §4 calls for: no single row can wedge an actor.
-_MAX_FIXPOINT_PASSES = 64
-
-#: observability for the cap (silent truncation would diverge from the
-#: reference's true-fixpoint semantics with no signal): a per-process
-#: counter plus a one-time warning the first time the cap fires. Real
-#: corpora never hit it — a nonzero counter means adversarial input.
-FIXPOINT_CAP_HITS = 0
-_warned_cap = False
-
-
-def _note_cap_hit() -> None:
-    global FIXPOINT_CAP_HITS, _warned_cap
-    FIXPOINT_CAP_HITS += 1
-    if not _warned_cap:
-        _warned_cap = True
-        import warnings
-
-        warnings.warn(
-            "normalization fixpoint pass cap hit: result truncated before "
-            "convergence (adversarial input?)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 class RowBudgetExceeded(Exception):
     """A single row blew its wall-clock budget (straggler guard, SURVEY §4
     — the reference bounds per-item work with a 3600 s subprocess timeout,
-    app.py:88, 1601-1607). Raised from kernel outer loops between passes,
-    caught by the extractor and turned into an action="error" row."""
+    app.py:88, 1601-1607). Raised from the normalization kernels, caught by
+    the extractor and turned into an action="error" row."""
 
 
 #: per-row deadline (time.monotonic value), set by the extractor before each
@@ -126,8 +110,8 @@ def set_row_deadline(seconds: Optional[float]) -> None:
 
 def check_row_budget() -> None:
     """Raise ``RowBudgetExceeded`` if the armed deadline has passed.
-    Called between fixpoint passes — one ``time.monotonic`` per pass, never
-    per character."""
+    Called once per uncached ``normalize_text`` and once per Japanese
+    collapse — one ``time.monotonic`` per call, never per character."""
     if _ROW_DEADLINE is not None:
         import time
 
@@ -137,26 +121,18 @@ def check_row_budget() -> None:
 
 @lru_cache(maxsize=65536)
 def _normalize_text_cached(s: str) -> str:
-    prev = None
-    passes = 0
-    while s != prev and passes < _MAX_FIXPOINT_PASSES:
-        check_row_budget()
-        prev = s
-        passes += 1
-        for pat, rep in _NORMALIZE_RULES:
-            s = pat.sub(rep, s)
-    if s != prev:
-        _note_cap_hit()
-    return s.strip()
+    check_row_budget()
+    return _NORMALIZE_RE.sub("", s)
 
 
 def normalize_text(text: Optional[str]) -> str:
-    """Whitespace-collapse, then run the space-removal rules to a fixpoint.
+    """Whitespace-collapse, then delete the unwanted spaces in one pass.
 
-    Memoized on the collapsed string: token texts repeat massively inside a
-    corpus (layout tokens are words), and the fixpoint regex cascade is the
-    single hottest kernel in the pdfish path. Pure function → cache-safe;
-    each worker process keeps its own LRU.
+    The result is the fixpoint of the reference's repeated rule cascade
+    (see the module docstring). Memoized on the collapsed string: token
+    texts repeat massively inside a corpus (layout tokens are words), and
+    the rule substitution is the single hottest kernel in the pdfish path.
+    Pure function → cache-safe; each worker process keeps its own LRU.
     """
     s = normalize_space(text)
     if not s:
@@ -178,36 +154,19 @@ def collapse_spaces_japanese(text: Optional[str]) -> str:
     Non-Japanese input passes through ``normalize_text`` untouched.
     """
     s = normalize_text(text)
-    if not s:
-        return ""
     if not contains_japanese(s):
-        return s.strip()
-
+        return s
+    check_row_budget()
     s = _ASCII_PAIR_SPACE_RE.sub(_PLACEHOLDER, s)
     s = _WS_RE.sub("", s)
     s = s.replace(_PLACEHOLDER, " ")
-
-    prev = None
-    passes = 0
-    while s != prev and passes < _MAX_FIXPOINT_PASSES:
-        check_row_budget()
-        prev = s
-        passes += 1
-        for pat, rep in _JP_COLLAPSE_RULES:
-            s = pat.sub(rep, s)
-    if s != prev:
-        _note_cap_hit()
-    return s.strip()
+    return _JP_COLLAPSE_RE.sub("", s).strip()
 
 
-def polish_line(text: Optional[str]) -> str:
-    """Final per-line normalization: normalize, then JP-collapse when needed."""
-    s = normalize_text(text)
-    if not s:
-        return ""
-    if contains_japanese(s):
-        s = collapse_spaces_japanese(s)
-    return s.strip()
+#: final per-line normalization (normalize, then JP-collapse when needed).
+#: ``normalize_text`` is idempotent, so this is exactly
+#: ``collapse_spaces_japanese``; the two names mirror two reference functions.
+polish_line = collapse_spaces_japanese
 
 
 def wrap_text(text: Optional[str], width: int = 80) -> list[str]:

@@ -11,14 +11,14 @@ DuckDB oracles:
 - the content sniff (CASE over regex evidence) — over documents AND over
   the real transcript table;
 - the ENTIRE plain-text path: CRLF-normalize → form-feed segmentation →
-  fixpoint whitespace normalization → order-preserving dedup → join. The
-  fixpoint regex cascade uses Python lookarounds, which RE2 (DuckDB's
-  engine) lacks; the oracle rewrites each rule with capture groups and
-  unrolls the cascade ``_NORM_SQL_ITERS`` times. A capture-group pass
-  deletes a subset of what a lookaround pass deletes (shared boundary
-  chars are consumed), but both systems converge to the same fixpoint —
-  3 unrolled passes suffice on every segment in the sf0.1 corpus
-  (pinned by tests/test_extraction_oracle.py); 6 gives 2x margin.
+  whitespace normalization → order-preserving dedup → join. The Python
+  rules use lookarounds and reach their fixpoint in one pass; RE2
+  (DuckDB's engine) lacks lookarounds, so the oracle rewrites each rule
+  with capture groups and unrolls the cascade ``_NORM_SQL_ITERS`` times. A
+  capture-group pass deletes a subset of what a lookaround pass deletes
+  (shared boundary chars are consumed), but both systems converge to the
+  same fixpoint — 3 unrolled passes suffice on every segment in the sf0.1
+  corpus (pinned by tests/test_extraction_oracle.py); 6 gives 2x margin.
 
 Oracle SQL strings are static, so the transcript-table oracles embed the
 deterministic sf0.01 cache path (the driver always compares at sf0.01;
@@ -135,9 +135,11 @@ FROM p
 
 # --- plain-path value oracle over the real transcript table ----------------
 
-#: capture-group rewrites of textnorm._NORMALIZE_RULES (RE2 has no
-#: lookarounds). Same rule ORDER as the Python cascade — order is part of
-#: the fixpoint contract.
+#: capture-group rewrites of the rules in textnorm._NORMALIZE_RE. Python
+#: needs one pass: its lookarounds only look at a space's neighbours.
+#: RE2 has no lookarounds, so each capture group consumes the neighbour
+#: it matched, and a space that shares it with the previous match waits
+#: for the next pass — hence the iteration, in the reference's rule order.
 _CJK_CLASS = "぀-ヿ㐀-䶿一-鿿！-｠　-〿"
 _NORM_RULES_SQL: list[tuple[str, str]] = [
     (f"([{_CJK_CLASS}])\\s+([{_CJK_CLASS}])", "\\1\\2"),

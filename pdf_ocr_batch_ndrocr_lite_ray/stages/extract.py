@@ -133,9 +133,10 @@ FALLBACK_KINDS: set = {KIND_PDFISH, KIND_HTML, KIND_XML}
 #: per-row straggler guards (SURVEY §4; the reference bounds per-item work
 #: with a 3600 s subprocess timeout, app.py:88, 1601-1607). Two layers:
 #: a DETERMINISTIC payload-size cap (same verdict on every machine), and a
-#: wall-clock deadline armed around each row and checked between kernel
-#: fixpoint passes — generous enough that only adversarial rows (quadratic
-#: regex bait, multi-GB strings) ever hit it; corpus rows run in µs–ms.
+#: wall-clock deadline armed around each row and checked once per
+#: normalization-kernel call — generous enough that only adversarial rows
+#: (quadratic regex bait, multi-GB strings) ever hit it; corpus rows run in
+#: µs–ms.
 MAX_TURN_CHARS = 16_000_000
 TURN_BUDGET_SECONDS: float | None = 30.0
 

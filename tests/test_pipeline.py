@@ -590,6 +590,48 @@ class TestResume:
         assert prepped["splits"] == dict(written)
         assert prepped["conversations"] == sum(written.values()) > 0
 
+    def test_cli_jsonl_export_runs_the_pipeline_once(self, tmp_path):
+        """``extract --output-format jsonl`` must not ask the lazy dataset
+        for its schema: that executes the whole pipeline (and, with
+        ``--order``, the sort) once before the write runs it again. The
+        CLI runs in its own process with ``Dataset.schema`` made to raise
+        there."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from collections import Counter
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+        script = (
+            "import sys\n"
+            "import ray.data\n"
+            "def _schema(self, *args, **kwargs):\n"
+            "    raise AssertionError('Dataset.schema() executes the pipeline')\n"
+            "ray.data.Dataset.schema = _schema\n"
+            "from pdf_ocr_batch_ndrocr_lite_ray import cli\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "ext"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "extract", "--num-cpus", "2", "--order",
+             "--input", *paths, "--output", str(out), "--output-format", "jsonl"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        golden = Counter()
+        for p in paths:
+            golden.update(oracle_extract_parquet(p)["action"].to_pylist())
+        assert report["actions"] == dict(golden)
+        rows = [json.loads(line) for f in sorted(out.glob("*.json"))
+                for line in f.read_text().splitlines() if line.strip()]
+        assert len(rows) == sum(golden.values())
+        assert all("spans" not in r for r in rows)
+
 
 class TestWaveCommit:
     """Per-wave manifest commit: a job that dies mid-run recovers every

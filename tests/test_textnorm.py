@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
@@ -71,6 +72,19 @@ class TestJapaneseCollapse:
             once = tn.collapse_spaces_japanese(s)
             assert tn.collapse_spaces_japanese(once) == once
 
+    def test_long_space_run_is_linear(self):
+        """Placeholder chars in the input come back as one long space run;
+        a run costs one scan, not one per space (50k spaces took ~27 s when
+        every space started a new match attempt)."""
+        import time
+
+        for tail, kept in (("x", True), ("1", False), ("）", False)):
+            s = "あ" + "\ufff0" * 50_000 + tail
+            start = time.monotonic()
+            out = tn.collapse_spaces_japanese(s)
+            assert time.monotonic() - start < 2.0
+            assert out == "あ" + " " * (50_000 if kept else 0) + tail
+
 
 class TestHelpers:
     def test_contains_japanese(self):
@@ -118,6 +132,96 @@ def test_normalize_text_idempotent(s):
 def test_polish_line_idempotent(s):
     once = tn.polish_line(s)
     assert tn.polish_line(once) == once
+
+
+# ---------------------------------------------------------------------------
+# In-repo oracle: the reference's rule cascades, applied to a fixpoint
+# ---------------------------------------------------------------------------
+
+# The reference's two rule lists (app.py:3930-3938 and 3969-3977), applied
+# one rule at a time and repeated until the string stops changing. The
+# kernel applies each list as one substitution; these tests pin that the
+# two forms agree.
+_CASCADE_NORMALIZE = [
+    re.compile(r"(?<=[぀-ヿ㐀-䶿一-鿿！-｠　-〿])\s+(?=[぀-ヿ㐀-䶿一-鿿！-｠　-〿])"),
+    re.compile(r"(?<=[A-Za-z])\s+(?=\d)"),
+    re.compile(r"(?<=\d)\s+(?=[A-Za-z])"),
+    re.compile(r"(?<=[\¥￥])\s+(?=\d)"),
+    re.compile(r"(?<=[（\(\[【「『])\s+"),
+    re.compile(r"\s+(?=[）\)\]】」』、。，．,:;])"),
+    re.compile(r"(?<=[●•])\s+"),
+]
+_CASCADE_JP_COLLAPSE = [
+    re.compile(r"(?<=[（(\[【「『]) +"),
+    re.compile(r" +(?=[）)\]】」』、。，．・：；！？])"),
+    re.compile(r"(?<=[●•]) +"),
+    re.compile(r"(?<=P) +(?=\d)"),
+    re.compile(r"(?<=\d) +(?=[頁ページ])"),
+    re.compile(r"(?<=\d) +(?=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤])"),
+    re.compile(r"(?<=[ぁ-ゖァ-ヺーｦ-ﾟ一-龯々〆〤]) +(?=\d)"),
+]
+
+
+def _to_fixpoint(s: str, rules: list) -> str:
+    prev = None
+    while s != prev:
+        prev = s
+        for pat in rules:
+            s = pat.sub("", s)
+    return s
+
+
+def _oracle_normalize_text(text: str) -> str:
+    s = re.sub(r"\s+", " ", text).strip()
+    return _to_fixpoint(s, _CASCADE_NORMALIZE).strip()
+
+
+def _oracle_collapse_spaces_japanese(text: str) -> str:
+    s = _oracle_normalize_text(text)
+    if not re.search(r"[ぁ-んァ-ヶ一-龯々〆〤ｦ-ﾟ]", s):
+        return s
+    s = re.sub(r"(?<=[A-Za-z0-9])\s+(?=[A-Za-z0-9])", "\ufff0", s)
+    s = re.sub(r"\s+", "", s).replace("\ufff0", " ")
+    return _to_fixpoint(s, _CASCADE_JP_COLLAPSE).strip()
+
+
+def _oracle_polish_line(text: str) -> str:
+    s = _oracle_normalize_text(text)
+    if re.search(r"[ぁ-んァ-ヶ一-龯々〆〤ｦ-ﾟ]", s):
+        s = _oracle_collapse_spaces_japanese(s)
+    return s.strip()
+
+
+# Every rule's context class, plus the whitespace kinds the collapse must
+# fold (ideographic space, NBSP, the \x1c-\x1f separators, tab, CRLF) and
+# the U+FFF0 placeholder the Japanese collapse uses internally.
+_ORACLE_POOL = (
+    "あいアイ漢字日本語頁ページー々〆〤ｱﾟ" + "AbPp" + "0159" + "０１"
+    + "¥￥（）()[]【】「」『』、。，．,:;・：；！？●•"
+    + " \t\u3000\u00a0\x1c\x1f\r\n\ufff0"
+)
+_ORACLE_PARTS = list(_ORACLE_POOL) + ["\r\n", "  ", " \u3000 ", "\ufff0\ufff0"]
+
+
+def _assert_matches_cascades(s: str) -> None:
+    want = _oracle_collapse_spaces_japanese(s)
+    assert tn.normalize_text(s) == _oracle_normalize_text(s), repr(s)
+    assert tn.collapse_spaces_japanese(s) == want, repr(s)
+    assert tn.polish_line(s) == _oracle_polish_line(s) == want, repr(s)
+
+
+def test_one_pass_rules_match_fixpoint_cascades():
+    rng = random.Random(20261018)
+    for _ in range(100_000):
+        _assert_matches_cascades(
+            "".join(rng.choice(_ORACLE_PARTS) for _ in range(rng.randrange(0, 24)))
+        )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_ORACLE_PARTS), max_size=40).map("".join))
+def test_one_pass_rules_match_fixpoint_cascades_property(s):
+    _assert_matches_cascades(s)
 
 
 # ---------------------------------------------------------------------------
