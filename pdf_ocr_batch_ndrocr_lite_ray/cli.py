@@ -121,7 +121,12 @@ def _prepare_output_dir(args: argparse.Namespace) -> Path | None:
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _init_ray(_resolve(args, config, "num_cpus"))
-    from .pipelines.extraction import build_extraction, INPUT_COLUMNS, extract_transcripts
+    from .pipelines.extraction import (
+        INPUT_COLUMNS,
+        build_extraction,
+        extract_transcripts,
+        package_remote_args,
+    )
 
     inputs = _expand_inputs(args.input, args.input_format)
     if not inputs:
@@ -130,14 +135,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.input_format == "jsonl":
         import ray.data
 
-        ds = ray.data.read_json(inputs)
+        ds = ray.data.read_json(inputs, ray_remote_args=package_remote_args())
         keep = [c for c in INPUT_COLUMNS if c in ds.schema().names]
         missing = {"conv_id", "turn_idx", "text"} - set(keep)
         if missing:
             print(f"input lacks required columns: {sorted(missing)}", file=sys.stderr)
             return 2
         ds = build_extraction(
-            ds.select_columns(keep),
+            ds.select_columns(keep, **package_remote_args()),
             batch_size=_resolve(args, config, "batch_size"),
             order=bool(_resolve(args, config, "order")),
         )
@@ -153,11 +158,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = _prepare_output_dir(args)
     if out is None:
         return 2
+    # the same remote args as the library's operators, so the write fuses
     if args.output_format == "jsonl":
-        ds = ds.drop_columns(["spans"])  # always there; schema() would run the pipeline
-        ds.write_json(str(out))
+        # always there; schema() would run the pipeline
+        ds = ds.drop_columns(["spans"], **package_remote_args())
+        ds.write_json(str(out), ray_remote_args=package_remote_args())
     else:
-        ds.write_parquet(str(out))
+        ds.write_parquet(str(out), ray_remote_args=package_remote_args())
     if args.stats:
         print(ds.stats(), file=sys.stderr)
     # job report from the written output (A1/A4 counter analog)

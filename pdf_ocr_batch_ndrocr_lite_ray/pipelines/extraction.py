@@ -8,6 +8,16 @@ Ray-Data-first shape (SURVEY.md §7):
       .sort(["conv_id", "turn_idx"])                  # order restoration
       .write_parquet(out)                             # streaming sink
 
+Without the sort, Ray Data fuses read, extract and write into one operator
+(``ReadParquet->MapBatches(extract_batch)->Write``): each block goes from
+the file to the sink inside one task, with no object-store hop. Ray fuses
+adjacent operators only when their remote args are equal, so no operator
+carries a runtime env when the workers can already import this package
+(its parent is the driver's cwd at ``ray.init`` or its script dir, or the
+package is installed). Otherwise every operator the library owns carries
+the same env (:func:`package_remote_args`); an operator the caller adds,
+such as its own ``write_parquet``, then runs as a separate one.
+
 Order restoration (``order=True``) runs the global sort only when the
 Parquet footers cannot prove that the input is already range-partitioned.
 The footers' ``conv_id`` min/max statistics split the input into sort
@@ -15,11 +25,13 @@ units, runs of one file's row groups. When the units' ranges are disjoint,
 there are at least as many units as cluster CPUs, and each unit's footer
 size fits one block, the pipeline reads the units in range order instead,
 one task per CPU, and sorts each unit whole inside its read task before
-extraction. Blocks are emitted in order (``preserve_order`` on the
-dataset's own context). Extraction is 1:1 and keeps row order, so the
-output equals the globally sorted output without an all-to-all exchange:
-the *Hyper Dimension Shuffle* rule, never repartition data that is already
-partitioned correctly.
+extraction; read, extract and write fuse into one operator,
+``MapBatches(_read_sorted)->MapBatches(extract_batch)->Write``. Blocks are
+emitted in order (``preserve_order`` on the dataset's own context).
+Extraction is 1:1 and keeps row order, so the output equals the globally
+sorted output without an all-to-all exchange: the *Hyper Dimension
+Shuffle* rule, never repartition data that is already partitioned
+correctly.
 
 Scale notes (100 TB design):
 
@@ -40,6 +52,7 @@ Scale notes (100 TB design):
 from __future__ import annotations
 
 import os
+import sysconfig
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -52,21 +65,54 @@ from ..stages.extract import extract_batch
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
 ORDER_KEYS = ["conv_id", "turn_idx"]
+_PACKAGE_PARENT = str(Path(__file__).resolve().parents[2])
 
 
 def package_runtime_env() -> dict:
-    """Runtime env ensuring workers can import this package.
+    """Runtime env that puts this package's parent dir on ``PYTHONPATH``.
 
-    Ray workers inherit the driver's cwd but NOT its ``sys.path``; a driver
-    that imported this package from a non-cwd location (e.g. via
-    ``sys.path.insert``, or a cwd outside the repo) would otherwise fail
-    every task with ``ModuleNotFoundError``. Shipping the package parent dir on
-    ``PYTHONPATH`` makes pipelines location-independent.
+    Ray workers get the driver's cwd at ``ray.init`` and its script dir on
+    their ``sys.path``, but NOT the rest of the driver's ``sys.path``; a
+    driver that imported this package from elsewhere (e.g. via
+    ``sys.path.insert`` with a cwd outside the repo) would otherwise fail
+    every task with ``ModuleNotFoundError``. Call sites take it through
+    :func:`package_remote_args`, which ships it only in that case.
     """
-    pkg_parent = str(Path(__file__).resolve().parents[2])
     existing = os.environ.get("PYTHONPATH", "")
-    pythonpath = pkg_parent if not existing else f"{pkg_parent}{os.pathsep}{existing}"
+    pythonpath = _PACKAGE_PARENT if not existing else f"{_PACKAGE_PARENT}{os.pathsep}{existing}"
     return {"env_vars": {"PYTHONPATH": pythonpath}}
+
+
+def _workers_import_package() -> bool:
+    """True when Ray's workers can import this package without an env: it
+    is installed (its parent is a site-packages dir), or its parent is on
+    the code paths Ray gave the job's workers (the driver's cwd at
+    ``ray.init`` and its script dir). Any doubt answers False."""
+    installed = {sysconfig.get_path("purelib"), sysconfig.get_path("platlib")}
+    if _PACKAGE_PARENT in {os.path.realpath(p) for p in installed}:
+        return True
+    try:
+        job = ray._private.worker.global_worker.core_worker.get_job_config()
+        code_paths = {os.path.realpath(p) for p in job.py_driver_sys_path}
+    except Exception:
+        return False
+    return _PACKAGE_PARENT in code_paths
+
+
+def package_remote_args() -> dict:
+    """Ray remote args for every task this package runs: ``{}`` when the
+    workers can already import it, else ``{"runtime_env": ...}``.
+
+    Splat it (``**package_remote_args()``) so the keyword is absent, not
+    empty: Ray Data fuses adjacent operators only when their remote args
+    are equal, tasks with a runtime env cannot reuse the workers Ray
+    prestarts at ``ray.init``, and ``runtime_env={}`` is not an absent key.
+    When the env ships, every operator the library owns carries the same
+    one, so the plan fuses either way.
+    """
+    if _workers_import_package():
+        return {}
+    return {"runtime_env": package_runtime_env()}
 
 
 def build_extraction(
@@ -87,7 +133,7 @@ def build_extraction(
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        runtime_env=package_runtime_env(),
+        **package_remote_args(),
     )
     if order:
         out = out.sort(ORDER_KEYS)
@@ -239,7 +285,7 @@ def extract_transcripts(
                 batch_format="pyarrow",
                 batch_size=None,
                 fn_kwargs={"columns": wanted},
-                runtime_env=package_runtime_env(),
+                **package_remote_args(),
             )
             out = build_extraction(ds, batch_size=batch_size)
             out.context.execution_options.preserve_order = True
@@ -248,5 +294,6 @@ def extract_transcripts(
         paths,
         columns=wanted,
         override_num_blocks=override_num_blocks,
+        ray_remote_args=package_remote_args(),
     )
     return build_extraction(ds, batch_size=batch_size, order=order)

@@ -52,7 +52,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..pipelines.extraction import package_runtime_env
+from ..pipelines.extraction import package_remote_args
 from ..stages.extract import extract_batch
 
 DATA_SUBDIR = "data"
@@ -176,9 +176,10 @@ def run_resumable_extraction(
         run_rows = 0
         for start in range(0, len(remaining), wave):
             batch_frags = remaining[start : start + wave]
-            # one task per fragment: read, extract, write and count it; every
-            # task imports this package on a worker, so ship its location for
-            # a driver whose cwd is not the repo root
+            # one task per fragment: read, extract, write and count it; the
+            # package's location ships only when the workers cannot import
+            # it (a driver outside the repo root), so they otherwise reuse
+            # the workers Ray prestarts
             ds = ray.data.from_items(
                 [{"part_id": pid, "path": path} for pid, path in batch_frags],
                 override_num_blocks=len(batch_frags),
@@ -187,7 +188,7 @@ def run_resumable_extraction(
                 batch_format="pyarrow",
                 batch_size=None,
                 fn_kwargs={"out_dir": str(out_dir), "batch_size": batch_size},
-                runtime_env=package_runtime_env(),
+                **package_remote_args(),
             )
             results = {r["part_id"]: r for r in ds.take_all()}
 

@@ -285,6 +285,97 @@ class TestOrderRestore:
         _assert_tables_equal(written, golden)
 
 
+class TestRemoteArgs:
+    """Workers that can import the package get no runtime env, so the
+    flagship runs as one fused Ray Data operator; the env ships only when
+    they cannot."""
+
+    def test_flagship_is_one_fused_operator(self, ray_session, tmp_path):
+        """Run from the repo root: Ray puts the driver's cwd on every
+        worker's path, so no operator carries an env and read (or the
+        ordered fast path's ``_read_sorted``), extract and write fuse."""
+        from pathlib import Path
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+            INPUT_COLUMNS,
+            _cluster_cpus,
+            _sort_units,
+            extract_transcripts,
+            package_remote_args,
+        )
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import (
+            write_transcript_shards,
+        )
+
+        if Path.cwd() != Path(__file__).resolve().parents[1]:
+            pytest.skip("the plan fuses without an env only from the repo root")
+        assert package_remote_args() == {}
+        n_shards = max(6, _cluster_cpus())
+        paths = write_transcript_shards(tmp_path / "in", n_convs=40, seed=3, n_shards=n_shards)
+        assert len(_sort_units(paths, INPUT_COLUMNS, 1 << 27)) >= _cluster_cpus()
+        plans = {
+            False: "MapBatches(extract_batch)->Write",
+            True: "MapBatches(_read_sorted)->MapBatches(extract_batch)->Write",
+        }
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        for order, plan in plans.items():
+            out = tmp_path / f"out-{order}"
+            ds = extract_transcripts(paths, order=order)
+            ds.write_parquet(str(out))
+            operators = [
+                line for line in ds.stats().splitlines() if line.startswith("Operator ")
+            ]
+            maps = [line for line in operators if "MapBatches" in line]
+            assert len(maps) == 1 and plan in maps[0], "\n".join(operators)
+            _assert_tables_equal(pq.read_table(out), golden)
+
+    @staticmethod
+    def _fake_worker(monkeypatch, get_job_config):
+        import types
+
+        import ray._private.worker
+
+        core_worker = types.SimpleNamespace(get_job_config=get_job_config)
+        monkeypatch.setattr(
+            ray._private.worker,
+            "global_worker",
+            types.SimpleNamespace(core_worker=core_worker),
+        )
+
+    def test_no_env_when_package_parent_is_a_code_path(self, monkeypatch):
+        import types
+        from pathlib import Path
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import package_remote_args
+
+        parent = str(Path(__file__).resolve().parents[1])
+        job = types.SimpleNamespace(py_driver_sys_path=["/elsewhere", parent])
+        self._fake_worker(monkeypatch, lambda: job)
+        assert "runtime_env" not in package_remote_args()
+
+    def test_env_when_package_parent_is_not_a_code_path(self, monkeypatch):
+        import os
+        import types
+        from pathlib import Path
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import package_remote_args
+
+        parent = str(Path(__file__).resolve().parents[1])
+        job = types.SimpleNamespace(py_driver_sys_path=["/elsewhere"])
+        self._fake_worker(monkeypatch, lambda: job)
+        env = package_remote_args()["runtime_env"]
+        assert parent in env["env_vars"]["PYTHONPATH"].split(os.pathsep)
+
+    def test_env_when_job_config_is_unreadable(self, monkeypatch):
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import package_remote_args
+
+        def boom():
+            raise RuntimeError("no job config")
+
+        self._fake_worker(monkeypatch, boom)
+        assert "runtime_env" in package_remote_args()
+
+
 class TestResume:
     def _write_shards(self, tmp_path, n_shards=4, convs_per_shard=6, seed=11):
         from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import write_transcripts
@@ -494,8 +585,8 @@ class TestResume:
         """A driver script run from outside the repo, importing the package
         through its own ``sys.path``, must still checkpoint and resume:
         Ray workers get the driver's cwd and script dir, not its
-        ``sys.path``, so every task the run ships (extract AND manifest
-        counting) needs the package runtime env."""
+        ``sys.path``, so the per-fragment tasks of every wave (read,
+        extract, write and count) need the package runtime env."""
         import json
         import os
         import subprocess
@@ -538,6 +629,61 @@ class TestResume:
         assert report["partitions_skipped_resume"] == 1
         golden_rows = sum(oracle_extract_parquet(p).num_rows for p in paths)
         assert report["rows"] == golden_rows
+
+    def test_extract_from_outside_repo_root(self, tmp_path):
+        """The flagship, unordered and on the ordered fast path, from a
+        driver outside the repo that imports the package through its own
+        ``sys.path``: the workers cannot import the package by themselves,
+        so the run must ship the package runtime env and still write the
+        oracle's rows."""
+        import json
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            sys.path.insert(0, {str(repo)!r})
+            import ray
+            from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction import (
+                extract_transcripts,
+                package_remote_args,
+            )
+            ray.init(address="local", num_cpus=1, include_dashboard=False)
+            try:
+                shipped = "runtime_env" in package_remote_args()
+                sorts = []
+                for order in (False, True):
+                    ds = extract_transcripts({paths!r}, order=order)
+                    sorts.append("Sort" in repr(ds))
+                    ds.write_parquet(f"out-{{order}}")
+                print(json.dumps({{"shipped": shipped, "sorts": sorts}}))
+            finally:
+                ray.shutdown()
+            """
+        )
+        env = {
+            k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"shipped": True, "sorts": [False, False]}
+        golden = pa.concat_tables([oracle_extract_parquet(p) for p in paths])
+        for order in (False, True):
+            _assert_tables_equal(pq.read_table(tmp_path / f"out-{order}"), golden)
 
     def test_cli_reports_count_like_the_oracle(self, tmp_path):
         """The JSON reports of ``extract``, ``resume``, ``report`` and
