@@ -296,21 +296,6 @@ def int64_out(s):
     return pa.array(vals, mask=na, type=pa.int64())
 
 
-def string_out(s):
-    """Arrow string OUTPUT column from a pandas series that may carry NaN
-    floats for nulls (an ALL-null string column converts to float64 NaN on
-    some block paths — pa.array would raise 'Expected bytes, got float')."""
-    import pandas as pd
-    import pyarrow as pa
-
-    obj = s.to_numpy(dtype=object)
-    na = pd.isna(obj)
-    if na.any():
-        obj = obj.copy()
-        obj[na] = None
-    return pa.array(obj, type=pa.string())
-
-
 def round6(v):
     """Half-away-from-zero rounding to 6 decimals — matches DuckDB
     ``round(x, 6)`` (numpy's own round is half-even). THE one copy of the

@@ -589,6 +589,17 @@ register("docs_gini_by_source", docs_gini_by_source, sql=DOCS_GINI_BY_SOURCE_SQL
 ENTROPY_SCALE = 1_000_000_000
 
 
+def _mode_count_partial(batch: pa.Table) -> pa.Table:
+    """Per-block (user_id, event_type, n) counts: duplicates collapse
+    before the shuffle, so the exchange carries distinct pairs, not rows."""
+    g = (
+        batch.select(["user_id", "event_type"])
+        .group_by(["user_id", "event_type"])
+        .aggregate([([], "count_all")])
+    )
+    return g.rename_columns(["user_id", "event_type", "n"])
+
+
 def user_type_entropy(sf_dir: str) -> "ray.data.Dataset":
     """(user_id, entropy_e9, n_events): Shannon entropy (nats, e9 fixed
     point) of each user's event-type distribution — the behavioral
@@ -596,14 +607,13 @@ def user_type_entropy(sf_dir: str) -> "ray.data.Dataset":
     the grouped companion of ``docs_char_entropy``.
 
     Per-block (user, type) count partials collapse duplicates before the
-    shuffle (the X102 pre-aggregation); one hash exchange on the key makes
+    shuffle (``_mode_count_partial``); one hash exchange on the key makes
     in-partition sums exact global counts; each term −p·ln(p) is computed
     through the shared libm/IEEE chain and quantized e9 BEFORE the
     per-user sum, so engine and SQL totals are bit-equal integers. NULL
     event_type is a category (SQL GROUP BY keeps it); NULL users form one
     group via the window-partition twin.
     """
-    from .compaction import _mode_count_partial
     from .exchange import hash_partitioned as _hash_partitioned
     from .exchange import int64_out as _int64_key_array
 

@@ -202,8 +202,7 @@ register("transcript_tool_stats", transcript_tool_stats, sql=_tool_stats_sql(_OR
 
 def conversation_role_transitions(sf_dir: str) -> "ray.data.Dataset":
     """(prev_role, next_role, n): role-sequence edges over each
-    conversation's turn_idx order — the transcript-side Markov shape
-    (sequences.py applies the same idiom to the events stream). One
+    conversation's turn_idx order — the transcript-side Markov shape. One
     conv_id exchange of three narrow columns; the fold frame is ≤ #roles²
     rows."""
     from .exchange import enum_group_sum

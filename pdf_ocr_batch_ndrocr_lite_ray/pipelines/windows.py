@@ -2925,7 +2925,7 @@ def session_type_lift(sf_dir: str) -> "pd.DataFrame":
     event-type pair, how much more often they share a SESSION than
     independence predicts — lift = (n_both·S) / (n_a·n_b) over S
     sessions — the market-basket view of behavior ("do errors co-occur
-    with purchases?") that transition matrices (X88) can't see because
+    with purchases?") that a transition matrix can't see because
     co-occurrence is order-free.
 
     Exactness: sessionization is the 30-min gap rule in-partition under

@@ -1,72 +1,24 @@
-"""Output destination modes + collision rename-sequence (reference S6/U4).
+"""Output-directory conflict policy + collision rename-sequence (reference S6/U4).
 
-The reference's ``OutputPathResolver`` (app.py:2470-2529) supports three
-destination modes and, when the target exists and overwrite is off, probes a
-``_001`` … ``_9999`` rename sequence before giving up. Re-expressed for a
-directory-sink engine:
-
-- ``same_dir``     — output lands next to the source (app.py: SAME_FOLDER)
-- ``input_subdir`` — an ``extracted_output/`` dir under the input root
-  (app.py: INPUT_FOLDER mode's ``ocr_output`` subdir)
-- ``custom_dir``   — an explicitly chosen directory (app.py: CUSTOM_FOLDER;
-  unset custom dir is an error, app.py:2487-2488)
-
-``make_output_dir`` applies the conflict policy to the resolved directory:
-``overwrite`` clears a non-empty target (refusing to delete a plain file),
-``fail`` refuses a non-empty target, and ``rename`` probes ``<name>_001`` …
-``<name>_9999`` for the first unused name, raising on exhaustion exactly
-like the reference (app.py:2519-2529).
+The reference's ``OutputPathResolver`` (app.py:2470-2529), when the target
+exists and overwrite is off, probes a ``_001`` … ``_9999`` rename sequence
+before giving up. ``make_output_dir`` re-expresses that for a directory
+sink: ``overwrite`` clears a non-empty target (refusing to delete a plain
+file), ``fail`` refuses a non-empty target, and ``rename`` probes
+``<name>_001`` … ``<name>_9999`` for the first unused name, raising on
+exhaustion exactly like the reference (app.py:2519-2529).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
-
-OUTPUT_MODE_SAME = "same_dir"
-OUTPUT_MODE_INPUT_SUBDIR = "input_subdir"
-OUTPUT_MODE_CUSTOM = "custom_dir"
-
-OUTPUT_MODES = (OUTPUT_MODE_SAME, OUTPUT_MODE_INPUT_SUBDIR, OUTPUT_MODE_CUSTOM)
-
-#: subdir name for the input_subdir mode (the reference's ``ocr_output``)
-SUBDIR_NAME = "extracted_output"
+from typing import Union
 
 ON_CONFLICT_OVERWRITE = "overwrite"
 ON_CONFLICT_FAIL = "fail"
 ON_CONFLICT_RENAME = "rename"
 
 _RENAME_LIMIT = 9999
-
-
-def normalize_output_mode(mode: Optional[str]) -> str:
-    """Unknown/unset modes fall back to ``same_dir`` (reference's default
-    branch, app.py:2490-2491)."""
-    if mode in OUTPUT_MODES:
-        return mode
-    return OUTPUT_MODE_SAME
-
-
-def resolve_output_dir(
-    source_path: Union[str, Path],
-    input_root: Union[str, Path],
-    mode: Optional[str] = None,
-    custom_dir: Union[str, Path, None] = None,
-) -> Path:
-    """Destination directory for a run, by mode (no filesystem writes)."""
-    source_path = Path(source_path)
-    input_root = Path(input_root)
-    normalized = normalize_output_mode(mode)
-    if normalized == OUTPUT_MODE_SAME:
-        return source_path.parent
-    if normalized == OUTPUT_MODE_INPUT_SUBDIR:
-        base = input_root if input_root.is_dir() else input_root.parent
-        return base / SUBDIR_NAME
-    if custom_dir is None:
-        raise ValueError(
-            "output mode 'custom_dir' selected but no custom directory given"
-        )
-    return Path(custom_dir)
 
 
 def make_output_dir(base: Union[str, Path], on_conflict: str = ON_CONFLICT_RENAME) -> Path:

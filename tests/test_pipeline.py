@@ -885,27 +885,7 @@ class TestWaveCommit:
 
 
 class TestOutputPaths:
-    """Destination modes + rename-sequence conflict policy (S6/U4)."""
-
-    def test_modes(self, tmp_path):
-        from pdf_ocr_batch_ndrocr_lite_ray.state.output_paths import (
-            SUBDIR_NAME,
-            resolve_output_dir,
-        )
-
-        src = tmp_path / "in" / "frag.parquet"
-        src.parent.mkdir()
-        src.touch()
-        assert resolve_output_dir(src, tmp_path / "in", "same_dir") == src.parent
-        assert (
-            resolve_output_dir(src, tmp_path / "in", "input_subdir")
-            == tmp_path / "in" / SUBDIR_NAME
-        )
-        assert resolve_output_dir(src, tmp_path / "in", "custom_dir", tmp_path / "x") == tmp_path / "x"
-        with pytest.raises(ValueError):
-            resolve_output_dir(src, tmp_path / "in", "custom_dir")
-        # unknown mode falls back to same_dir (reference default branch)
-        assert resolve_output_dir(src, tmp_path / "in", "bogus") == src.parent
+    """Conflict policy: fail / overwrite / rename sequence (S6/U4)."""
 
     def test_rename_sequence(self, tmp_path):
         from pdf_ocr_batch_ndrocr_lite_ray.state.output_paths import make_output_dir
