@@ -36,13 +36,16 @@ class Box:
     x2: float
     y2: float
 
+    # ``max(1.0, h)`` as a conditional: the clusterers read these per box per probe
     @property
     def height(self) -> float:
-        return max(1.0, float(self.y2) - float(self.y1))
+        h = float(self.y2) - float(self.y1)
+        return h if h > 1.0 else 1.0
 
     @property
     def width(self) -> float:
-        return max(1.0, float(self.x2) - float(self.x1))
+        w = float(self.x2) - float(self.x1)
+        return w if w > 1.0 else 1.0
 
     @property
     def center_y(self) -> float:
@@ -54,76 +57,87 @@ class Box:
 
 
 # Probing order is part of the contract: named bbox keys first, then the
-# four coordinate-spelling families.
+# five coordinate-spelling families.
 _BBOX_KEYS = ("bbox", "box", "rect", "boundingBox", "bounding_box")
+_XYWH_FAMILIES = (
+    ("x", "y", "w", "h"),
+    ("X", "Y", "WIDTH", "HEIGHT"),
+    ("left", "top", "width", "height"),
+)
+_CORNER_FAMILIES = (("xmin", "ymin", "xmax", "ymax"), ("x1", "y1", "x2", "y2"))
+# (keys, key set, whether the keys spell corners rather than x, y, w, h)
+_FAMILIES = tuple(
+    (keys, frozenset(keys), keys in _CORNER_FAMILIES) for keys in _XYWH_FAMILIES + _CORNER_FAMILIES
+)
+_BBOX_KEY_SET = frozenset(_BBOX_KEYS)
+# a mapping with none of these keys has no box under any spelling
+_ANY_BBOX_KEY = _BBOX_KEY_SET.union(*_XYWH_FAMILIES, *_CORNER_FAMILIES)
 
 _TEXT_KEYS = (
     "text", "TEXT", "content", "CONTENT", "label", "string", "STRING",
     "unicode", "Unicode", "transcription", "recognized_text", "ocr_text",
     "PlainText",
 )
+_TEXT_KEY_SET = frozenset(_TEXT_KEYS)
 
 _PAGE_KEYS = ("page", "page_no", "page_num", "page_index", "page_id", "pageNumber", "pageIndex")
+_PAGE_KEY_SET = frozenset(_PAGE_KEYS)
+
+_COORD_TYPES = (int, float, str)
+_SCALAR_TYPES = (str, int, float, bool)
 
 
-def _xywh(obj: Mapping[str, Any], kx: str, ky: str, kw: str, kh: str) -> Optional[BBox]:
-    try:
-        x, y = float(obj[kx]), float(obj[ky])
-        w, h = float(obj[kw]), float(obj[kh])
-    except Exception:
-        return None
-    return (x, y, x + w, y + h)
+def _is_mapping(obj: Any) -> bool:
+    # exact dicts and lists (all of decoded JSON) skip the slower Mapping
+    # ABC check
+    t = type(obj)
+    return t is dict or (t is not list and isinstance(obj, Mapping))
 
 
 def bbox_from_mapping(obj: Any) -> Optional[BBox]:
     """Infer an (x1, y1, x2, y2) box from any of the known key spellings."""
-    if not isinstance(obj, Mapping):
+    if not _is_mapping(obj):
         return None
-    for key in _BBOX_KEYS:
-        if key in obj:
-            bbox = coerce_bbox_value(obj[key])
-            if bbox is not None:
-                return bbox
-    if all(k in obj for k in ("x", "y", "w", "h")):
-        bbox = _xywh(obj, "x", "y", "w", "h")
-        if bbox is not None:
-            return bbox
-    if all(k in obj for k in ("X", "Y", "WIDTH", "HEIGHT")):
-        bbox = _xywh(obj, "X", "Y", "WIDTH", "HEIGHT")
-        if bbox is not None:
-            return bbox
-    if all(k in obj for k in ("left", "top", "width", "height")):
-        bbox = _xywh(obj, "left", "top", "width", "height")
-        if bbox is not None:
-            return bbox
-    if all(k in obj for k in ("xmin", "ymin", "xmax", "ymax")):
-        try:
-            return (float(obj["xmin"]), float(obj["ymin"]), float(obj["xmax"]), float(obj["ymax"]))
-        except Exception:
-            pass
-    if all(k in obj for k in ("x1", "y1", "x2", "y2")):
-        try:
-            return (float(obj["x1"]), float(obj["y1"]), float(obj["x2"]), float(obj["y2"]))
-        except Exception:
-            pass
+    keys = obj.keys()
+    if keys.isdisjoint(_ANY_BBOX_KEY):
+        return None
+    if not keys.isdisjoint(_BBOX_KEY_SET):
+        for key in _BBOX_KEYS:
+            if key in obj:
+                bbox = coerce_bbox_value(obj[key])
+                if bbox is not None:
+                    return bbox
+    for (ka, kb, kc, kd), family_set, corners in _FAMILIES:
+        if keys >= family_set:
+            try:
+                a, b = float(obj[ka]), float(obj[kb])
+                c, d = float(obj[kc]), float(obj[kd])
+            except Exception:
+                continue
+            return (a, b, c, d) if corners else (a, b, a + c, b + d)
     return None
 
 
 def coerce_bbox_value(value: Any) -> Optional[BBox]:
     """Coerce a nested bbox value: mapping, 4-list, or point list."""
-    if isinstance(value, Mapping):
+    if _is_mapping(value):
         return bbox_from_mapping(value)
     if isinstance(value, (list, tuple)):
-        if len(value) == 4 and all(isinstance(v, (int, float, str)) for v in value):
-            try:
-                a, b, c, d = (float(x) for x in value)
-            except Exception:
-                return None
-            if c > a and d > b:
-                return (a, b, c, d)
+        if len(value) == 4:
+            a, b, c, d = value
+            if (
+                isinstance(a, _COORD_TYPES) and isinstance(b, _COORD_TYPES)
+                and isinstance(c, _COORD_TYPES) and isinstance(d, _COORD_TYPES)
+            ):
+                try:
+                    a, b, c, d = float(a), float(b), float(c), float(d)
+                except Exception:
+                    return None
+                if c > a and d > b:
+                    return (a, b, c, d)
         points: list[tuple[float, float]] = []
         for item in value:
-            if isinstance(item, Mapping):
+            if _is_mapping(item):
                 x = item.get("x", item.get("X"))
                 y = item.get("y", item.get("Y"))
                 if x is not None and y is not None:
@@ -166,18 +180,19 @@ def parse_points_string(value: Optional[str]) -> list[tuple[float, float]]:
 
 def text_from_mapping(obj: Any) -> Optional[str]:
     """Probe the 13 known text-key spellings, first non-blank string wins."""
-    if not isinstance(obj, Mapping):
+    if not _is_mapping(obj) or obj.keys().isdisjoint(_TEXT_KEY_SET):
         return None
     for key in _TEXT_KEYS:
-        value = obj.get(key)
-        if isinstance(value, str) and value.strip():
-            return value
+        if key in obj:
+            value = obj[key]
+            if isinstance(value, str) and value.strip():
+                return value
     return None
 
 
 def page_hint(obj: Any, inherited: Optional[int], page_count: int) -> Optional[int]:
     """Infer a 0-based page/fragment index, disambiguating 0- vs 1-based."""
-    if isinstance(obj, Mapping):
+    if _is_mapping(obj) and not obj.keys().isdisjoint(_PAGE_KEY_SET):
         for key in _PAGE_KEYS:
             if key in obj:
                 try:
@@ -191,19 +206,23 @@ def page_hint(obj: Any, inherited: Optional[int], page_count: int) -> Optional[i
     return inherited
 
 
+def scalar_heavy(obj: Mapping) -> bool:
+    """At least as many scalar values (str, number, bool, None) as others."""
+    scalar_like = complex_like = 0
+    for v in obj.values():
+        if v is None or isinstance(v, _SCALAR_TYPES):
+            scalar_like += 1
+        else:
+            complex_like += 1
+    return scalar_like >= complex_like
+
+
 def looks_like_text_leaf(obj: Any) -> bool:
     """A mapping is a text leaf iff it has text, no bbox, and is scalar-heavy."""
-    if not isinstance(obj, Mapping):
+    if not _is_mapping(obj):
         return False
     if bbox_from_mapping(obj) is not None:
         return False
     if not text_from_mapping(obj):
         return False
-    scalar_like = 0
-    complex_like = 0
-    for v in obj.values():
-        if isinstance(v, (str, int, float, bool)) or v is None:
-            scalar_like += 1
-        else:
-            complex_like += 1
-    return scalar_like >= complex_like
+    return scalar_heavy(obj)

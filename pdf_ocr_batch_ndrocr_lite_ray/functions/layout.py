@@ -118,12 +118,16 @@ def join_line(boxes: list[Box]) -> str:
     the smaller box height crosses the 0.45 threshold (0.90 and ASCII-words-only
     on Japanese-bearing lines); the joined string is then line-polished.
     """
+    return _line_text(boxes, [normalize_text(b.text) for b in boxes])
+
+
+def _line_text(boxes: list[Box], texts: list[str]) -> str:
+    """``join_line`` given each box's normalized text."""
     if not boxes:
         return ""
     pieces: list[str] = []
     prev: Box | None = None
     prev_text = ""
-    texts = [normalize_text(b.text) for b in boxes]
     line_has_japanese = any(contains_japanese(t) for t in texts)
     for box, cur in zip(boxes, texts):
         if not cur:
@@ -146,13 +150,13 @@ def join_line(boxes: list[Box]) -> str:
     return polish_line("".join(pieces))
 
 
+def _column_order(b: Box) -> tuple:
+    return (b.center_y, -b.center_x, float(b.y1), float(b.x1))
+
+
 def join_vertical_column(boxes: list[Box]) -> str:
     """Top-to-bottom join of one vertical column (no intra-column spacing)."""
-    if not boxes:
-        return ""
-    ordered = sorted(boxes, key=lambda b: (b.center_y, -b.center_x, float(b.y1), float(b.x1)))
-    parts = [t for t in (normalize_text(b.text) for b in ordered) if t]
-    return polish_line("".join(parts))
+    return polish_line("".join(normalize_text(b.text) for b in sorted(boxes, key=_column_order)))
 
 
 def dedup_boxes(boxes: list[Box]) -> list[Box]:
@@ -181,7 +185,7 @@ def dedup_boxes(boxes: list[Box]) -> list[Box]:
         if key in seen:
             continue
         seen.add(key)
-        deduped.append(Box(text=text_key, x1=box.x1, y1=box.y1, x2=box.x2, y2=box.y2))
+        deduped.append(box if text_key == box.text else Box(text_key, box.x1, box.y1, box.x2, box.y2))
     return deduped
 
 
@@ -214,6 +218,7 @@ def join_segments(segments: list[tuple[str, str]], sep: str = "\n") -> tuple[str
 def assemble_layout_text(boxes: list[Box], blocks: list[str]) -> tuple[str, list[tuple[int, int, str]]]:
     """Turn deduped boxes + text blocks into final extracted text with spans.
 
+    The boxes carry normalized text, as ``dedup_boxes`` returns them.
     Orientation is voted per turn; lines (or vertical columns) become newline-
     joined segments, followed by any free text blocks. Returns
     ``(extracted_text, spans)`` where each span is a ``(start, end, kind)``
@@ -222,11 +227,17 @@ def assemble_layout_text(boxes: list[Box], blocks: list[str]) -> tuple[str, list
     """
     segments: list[tuple[str, str]] = []
     if boxes:
+        # box texts are normalized already (``dedup_boxes``): join them as is
         if is_vertical_layout(boxes):
-            group, join, kind = group_into_vertical_columns, join_vertical_column, "column"
+            kind = "column"
+            texts = [
+                polish_line("".join(b.text for b in sorted(column, key=_column_order)))
+                for column in group_into_vertical_columns(boxes)
+            ]
         else:
-            group, join, kind = group_into_lines, join_line, "line"
-        segments = [(text, kind) for text in map(join, group(boxes)) if text]
+            kind = "line"
+            texts = [_line_text(line, [b.text for b in line]) for line in group_into_lines(boxes)]
+        segments = [(text, kind) for text in texts if text]
     segments += [(block, "block") for block in blocks if block]
     return join_segments(segments)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from ..functions.geometry import Box, bbox_from_mapping, looks_like_text_leaf, page_hint, text_from_mapping
+from ..functions.geometry import Box, bbox_from_mapping, page_hint, scalar_heavy, text_from_mapping
 from ..functions.textnorm import normalize_text
 
 # Bounded recursion depth: the reference recurses unboundedly over engine
@@ -60,14 +60,17 @@ def walk_payload(data: Any, page_count: Optional[int] = None) -> tuple[list, lis
             if page_count is not None:
                 hint = page_hint(node, hint, page_count)
             text_value = text_from_mapping(node)
-            bbox = bbox_from_mapping(node) if text_value else None
-            if bbox is not None or (text_value and looks_like_text_leaf(node)):
-                cleaned = normalize_text(text_value)
-                if cleaned and bbox is not None:
-                    boxes.append((hint, Box(text=cleaned, x1=bbox[0], y1=bbox[1], x2=bbox[2], y2=bbox[3])))
-                elif cleaned:
-                    blocks.append((hint, cleaned))
-                return
+            if text_value:
+                # text and bbox are probed once: a box, else a free text
+                # leaf when scalar-heavy (``looks_like_text_leaf``)
+                bbox = bbox_from_mapping(node)
+                if bbox is not None or scalar_heavy(node):
+                    cleaned = normalize_text(text_value)
+                    if cleaned and bbox is not None:
+                        boxes.append((hint, Box(cleaned, *bbox)))
+                    elif cleaned:
+                        blocks.append((hint, cleaned))
+                    return
             for value in node.values():
                 visit(value, hint, depth + 1)
         elif isinstance(node, list):
