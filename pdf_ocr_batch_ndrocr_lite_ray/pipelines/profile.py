@@ -917,9 +917,11 @@ def orders_ship_delay_profile(sf_dir: str) -> "pd.DataFrame":
 
     Scale shape: both fact tables pre-reduce per block — lineitem to
     (orderkey, ship_day, n) collapsed pairs, orders to stub rows — and
-    share ONE orderkey co-partition exchange (the Q18 idiom,
-    tpchx.py:276); each partition joins locally and emits bounded
-    (priority, delay) partials, so the second hop is an enum fold whose
+    are unioned into ONE ``hash_partitioned`` exchange on orderkey, so an
+    order and all of its lines land in the same partition (the
+    ``is_order`` flag tells the two sides apart); each partition joins
+    locally and emits bounded (priority, delay) partials, so the second
+    hop is an enum fold whose
     cardinality is priorities x distinct day deltas (guarded by
     MAX_ENUM_GROUPS). The driver holds that bounded table only.
     """

@@ -1039,7 +1039,8 @@ def source_length_mwu(sf_dir: str) -> "pd.DataFrame":
     doubled deviation 2U − n1·n2 in Python ints, then ONE shared IEEE
     chain (two int→double casts, divide, sqrt, divide, floor-e6) per
     source. The SQL twin spells doubled ranks as 2·rank() + cnt − 1 (the
-    Spearman idiom) and the identical z chain. Sources with no
+    doubled average rank of a tie group, an integer) and the identical z
+    chain. Sources with no
     counterpart rows or zero rank variance are excluded on both engines.
     """
     import math

@@ -133,7 +133,8 @@ _ATTR_RE = re.compile(
 )
 # A start tag that stops before one of these (or at the end of input) is
 # cut off; before any other character it is malformed, and is data.
-_CUT_OFF_NEXT = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ=/")
+_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_CUT_OFF_NEXT = _ASCII_LETTERS | {"=", "/"}
 # End of a raw-text element. html.parser matches it with re.IGNORECASE, so
 # "ſ" or "İ" can match too, but it then rejects such a name as data and goes
 # on scanning: an ASCII-only search finds the same end tag.
@@ -142,14 +143,19 @@ _RAW_TEXT_END = {
     for name in ("script", "style")
 }
 _MARKED_NAME_RE = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+# Where a tag name stops, and the characters after which an attribute may
+# start (the lookbehind of ``_ATTR_RE``).
+_NAME_STOP_RE = re.compile(r"[\t\n\r\f /\x00]")
+_ATTR_AFTER_RE = re.compile(r"['\"\s/]")
 _MARKED_CLOSE = {
     **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
     **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
 }
 
 
-def _marked_section_end(html: str, i: int) -> int:
-    """End of the ``<![name ...]]>`` section at ``i``; -1 if cut off."""
+def _marked_section_end(html: str, i: int, gt_end: int) -> int:
+    """End of the ``<![name ...]]>`` section at ``i``; -1 if cut off.
+    ``gt_end`` is one past the last ">" of ``html``."""
     m = _MARKED_NAME_RE.match(html, i + 3)
     if m is None:
         if i + 3 == len(html):
@@ -160,7 +166,7 @@ def _marked_section_end(html: str, i: int) -> int:
     close = _MARKED_CLOSE.get(m.group().strip().lower())
     if close is None:
         raise ValueError(f"unknown marked section {html[i:m.end()]!r}")
-    end = close.search(html, i + 3)
+    end = close.search(html, i + 3, gt_end)
     return end.end() if end else -1
 
 
@@ -191,6 +197,13 @@ def _build_tree(html: str) -> _Node:
     find = html.find
     scan = _SCAN_RE.match
     n = len(html)
+    # Past the last ">" no markup can close, so the scanner is not run there:
+    # its tag name and its "[^>]*>" branches would run on to the end of input
+    # from every "<", which is quadratic in a run like "a<a<a<". The tail
+    # takes the scanner's decisions by hand; a tag name there ends at the
+    # first _NAME_STOP_RE character, cached for the "<"s inside one name.
+    gt_end = html.rfind(">") + 1
+    name_from = name_stop = -1  # no name stop in [name_from, name_stop)
     i = 0
     while i < n:
         if raw_end is not None:
@@ -215,63 +228,83 @@ def _build_tree(html: str) -> _Node:
             i = j
             if i == n:
                 break
-        m = scan(html, i)
-        kind = m.lastgroup if m is not None else None
-        if kind == "start" or kind == "startend" or kind == "empty":
-            i = m.end()
-            tag = m.group("tag").lower()
-            if kind == "start":
+        if i < gt_end:
+            m = scan(html, i)
+            kind = m.lastgroup if m is not None else None
+            if kind == "start" or kind == "startend" or kind == "empty":
+                i = m.end()
+                tag = m.group("tag").lower()
+                if kind == "start":
+                    if drop:
+                        if tag not in _VOID_TAGS:
+                            drop += 1
+                    elif tag in DROP_TAGS:
+                        drop = 1
+                    else:
+                        node = _Node(tag, _attributes(html, m.end("tag")), cursor)
+                        cursor.children.append(node)
+                        if tag not in _VOID_TAGS:
+                            cursor = node
+                    raw_end = _RAW_TEXT_END.get(tag)
+                elif not drop and tag not in DROP_TAGS:
+                    attrs = _attributes(html, m.end("tag")) if kind == "startend" else {}
+                    cursor.children.append(_Node(tag, attrs, cursor))
+                continue
+            if kind == "end" or kind == "endname":
+                i = m.end()
                 if drop:
-                    if tag not in _VOID_TAGS:
-                        drop += 1
-                elif tag in DROP_TAGS:
-                    drop = 1
-                else:
-                    node = _Node(tag, _attributes(html, m.end("tag")), cursor)
-                    cursor.children.append(node)
-                    if tag not in _VOID_TAGS:
-                        cursor = node
-                raw_end = _RAW_TEXT_END.get(tag)
-            elif not drop and tag not in DROP_TAGS:
-                attrs = _attributes(html, m.end("tag")) if kind == "startend" else {}
-                cursor.children.append(_Node(tag, attrs, cursor))
-            continue
-        if kind == "end" or kind == "endname":
-            i = m.end()
-            if drop:
-                drop -= 1
+                    drop -= 1
+                    continue
+                name = m.group(kind).lower()
+                node = cursor
+                while node is not None and node.tag != name:
+                    node = node.parent
+                if node is not None and node.parent is not None:
+                    cursor = node.parent
                 continue
-            name = m.group(kind).lower()
-            node = cursor
-            while node is not None and node.tag != name:
-                node = node.parent
-            if node is not None and node.parent is not None:
-                cursor = node.parent
-            continue
-        if m is None:
-            if not html.startswith(("</", "<!", "<?"), i):
-                if not drop:  # a "<" that opens nothing is a chunk of its own
-                    cursor.children.append("<")
-                i += 1
+            if m is None:
+                if not html.startswith(("</", "<!", "<?"), i):
+                    if not drop:  # a "<" that opens nothing is a chunk of its own
+                        cursor.children.append("<")
+                    i += 1
+                    continue
+            elif kind is None:
+                i = m.end()
                 continue
-        elif kind is None:
-            i = m.end()
-            continue
-        elif kind == "attrs":
-            j = m.end()
-            if j < n and html[j] not in _CUT_OFF_NEXT:
+            elif kind == "attrs":
+                j = m.end()
+                if j < n and html[j] not in _CUT_OFF_NEXT:
+                    if not drop:  # malformed start tag: raw data
+                        cursor.children.append(html[i:j])
+                    i = j
+                    continue
+            elif kind == "marked":
+                end = _marked_section_end(html, i, gt_end)
+                if end >= 0:
+                    i = end
+                    continue
+        elif html[i + 1:i + 2] in _ASCII_LETTERS:
+            # past the last ">" a start tag is cut off by the end of input,
+            # unless its name stops at a NUL that no attribute may follow
+            if not name_from <= i + 1 <= name_stop:
+                stop = _NAME_STOP_RE.search(html, i + 1)
+                name_from, name_stop = i + 1, stop.start() if stop else n
+            e = name_stop
+            if e < n and html[e] == "\x00" and not _ATTR_AFTER_RE.match(html, e - 1):
                 if not drop:  # malformed start tag: raw data
-                    cursor.children.append(html[i:j])
-                i = j
+                    cursor.children.append(html[i:e])
+                i = e
                 continue
-        elif kind == "marked":
-            end = _marked_section_end(html, i)
-            if end >= 0:
-                i = end
-                continue
+        elif html.startswith("<![", i):
+            _marked_section_end(html, i, gt_end)  # raises on an unknown name
+        elif not html.startswith(("</", "<!", "<?"), i):
+            if not drop:
+                cursor.children.append("<")
+            i += 1
+            continue
         # markup cut off by the end of input: data up to the next ">"
         # (inclusive) or "<", else the lone "<"
-        k = find(">", i + 1)
+        k = find(">", i + 1, gt_end)
         if k >= 0:
             k += 1
         else:

@@ -13,6 +13,7 @@ must read ``second``.
 from __future__ import annotations
 
 import random
+import time
 from html.parser import HTMLParser
 from unittest import mock
 
@@ -161,6 +162,19 @@ CASES = [
     pytest.param("<P CLASS='x'>Upper</P><DIV>d</DIV>", id="uppercase-tags"),
     pytest.param("<p>a\x00b</p><p\x00>c</p><a\x00 b>d", id="nul-bytes"),
     pytest.param("<p a=1\x00>x</p>", id="nul-in-attrs"),
+    # past the last ">" nothing closes: the tail is decided without the
+    # scanner, and must still give html.parser's chunks
+    pytest.param("a<" * 50, id="tail-lt-letter-run"),
+    pytest.param("a<" * 50 + ">", id="tail-lt-letter-run-closed"),
+    pytest.param("</a<" * 50, id="tail-end-tag-run"),
+    pytest.param("<p>x</p><!-- " + "a<" * 20, id="tail-comment-cut-off-run"),
+    pytest.param("<p>x</p><![CDATA[ " + "a<" * 20, id="tail-marked-cut-off-run"),
+    pytest.param("<p>x</p><![foo[ a<b", id="tail-marked-unknown"),
+    pytest.param("<p>x</p>a<bc\x00d<e", id="tail-name-stops-at-nul"),
+    pytest.param("<p>x</p>a<b'\x00c<d", id="tail-nul-after-quote"),
+    pytest.param("<p>x</p>a<b\x0b\x00c<d", id="tail-nul-after-vtab"),
+    pytest.param("<p>x</p>a<b c<d e='f<g", id="tail-attrs-cut-off"),
+    pytest.param("<p>x</p><? a< <! b<", id="tail-pi-and-declaration"),
 ]
 
 
@@ -171,6 +185,15 @@ def test_scanner_matches_html_parser(html):
 
 def test_lt_before_letter_is_its_own_chunk():
     assert extract_html_main_content("a<b") == (["a < b"], True)
+
+
+def test_tail_of_unclosed_tags_is_linear():
+    # a scanner run to the end of input from every "<" past the last ">"
+    # makes this quadratic: about a minute for these 200 KB
+    start = time.perf_counter()
+    blocks, _ = extract_html_main_content("<p>x</p>" + "a<" * 100_000)
+    assert time.perf_counter() - start < 2.0
+    assert blocks == ["x"]
 
 
 def test_last_duplicate_attribute_wins():

@@ -193,7 +193,6 @@ class TestEmptyEvents:
             "events_distinct_users_kmv",
             "events_time_delta",
             "events_robust_scaled",
-            "user_event_pivot",
             "events_distinct_users_hll_by_type",
             "user_retention_cohorts",
             "events_percent_rank",
@@ -209,7 +208,6 @@ class TestEmptyEvents:
     def test_empty_events_yield_empty_output(self, ray_session, empty_dir, name):
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import (  # noqa: F401
             analytics,
-            rollup,
             sketches,
             windows,
         )
@@ -1614,7 +1612,6 @@ class TestAdversarialEventsParity:
             "events_robust_scaled",
             "events_distinct_users_hll",
             "events_distinct_users_hll_by_type",
-            "user_event_pivot",
             "user_retention_cohorts",
             "events_percent_rank",
             "events_hourly_dense",
@@ -1629,7 +1626,6 @@ class TestAdversarialEventsParity:
         import duckdb
 
         import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup  # noqa: F401
         import pdf_ocr_batch_ndrocr_lite_ray.pipelines.sketches  # noqa: F401
         import pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows  # noqa: F401
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
@@ -1872,10 +1868,8 @@ class TestAdversarialRelationalParity:
             "top_customers_per_nation",
             "customers_without_orders",
             "lineitem_top_parts",
-            "orders_rollup",
             "orders_in_segment",
             "customer_order_full_outer",
-            "tpch_q1_pricing",
             "tpch_q5_local_volume",
         ],
     )
@@ -1883,7 +1877,6 @@ class TestAdversarialRelationalParity:
         import duckdb
 
         import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup  # noqa: F401
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
 
         con = duckdb.connect()
@@ -2979,9 +2972,9 @@ class TestEmptyEmbeddings:
 
 
 class TestRound4SessionOps:
-    """Invariant pins for the lag / robust-scale / rollup / pivot / HLL /
-    segment-dedup / priority-sample / semi-join family (value parity runs
-    in the blanket oracle loop; these pin semantics the hash can't see)."""
+    """Invariant pins for the lag / robust-scale / HLL / segment-dedup /
+    priority-sample / semi-join family (value parity runs in the blanket
+    oracle loop; these pin semantics the hash can't see)."""
 
     def test_time_delta_per_user_invariants(self, ray_session):
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows import events_time_delta
@@ -3006,58 +2999,6 @@ class TestRound4SessionOps:
             iqr = g["value_r"].quantile(0.75) - g["value_r"].quantile(0.25)
             assert abs(med) < 1e-4
             assert abs(iqr - 1.0) < 1e-4
-
-    def test_rollup_levels_are_consistent(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            ROLLUP_ALL,
-            orders_rollup,
-        )
-
-        df = orders_rollup(SF).to_pandas()
-        finest = df[
-            (df["o_orderpriority"] != ROLLUP_ALL) & (df["o_orderstatus"] != ROLLUP_ALL)
-        ]
-        mid = df[
-            (df["o_orderpriority"] != ROLLUP_ALL) & (df["o_orderstatus"] == ROLLUP_ALL)
-        ]
-        grand = df[df["o_orderpriority"] == ROLLUP_ALL]
-        assert len(grand) == 1
-        for col in ("n_orders", "revenue_e2"):
-            assert finest[col].sum() == grand[col].iloc[0]
-            assert mid[col].sum() == grand[col].iloc[0]
-            per_pri = finest.groupby("o_orderpriority")[col].sum()
-            assert per_pri.equals(
-                mid.set_index("o_orderpriority")[col].reindex(per_pri.index)
-            )
-
-    def test_pivot_counts_total_matches_event_count(self, ray_session):
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import user_event_pivot
-
-        df = user_event_pivot(SF).to_pandas()
-        n_events = pq.read_metadata(f"{SF}/events.parquet").num_rows
-        count_cols = [c for c in df.columns if c.startswith("n_")]
-        assert int(df[count_cols].to_numpy().sum()) == n_events
-        assert df["user_id"].is_unique
-
-    def test_pivot_rejects_unknown_event_type(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import user_event_pivot
-
-        pq.write_table(
-            pa.table(
-                {
-                    "user_id": pa.array([1], type=pa.int64()),
-                    "event_type": pa.array(["mystery"]),
-                }
-            ),
-            tmp_path / "events.parquet",
-        )
-        with pytest.raises(Exception, match="unknown event_type"):
-            user_event_pivot(str(tmp_path)).to_pandas()
 
     def test_hll_estimate_within_bound_of_truth(self, ray_session, oracle_con):
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.sketches import (
@@ -3484,7 +3425,7 @@ class TestOracleRetargeting:
         cache_names = queryset.cache_sql_names()
         assert "extract_flagship" in cache_names
         assert "conversation_texts" in cache_names
-        assert "tpch_q1_pricing" not in cache_names
+        assert "tpch_q5_local_volume" not in cache_names
         small = queryset.oracle_sql_for("/root/testdata/sf0.001")
         for name in cache_names:
             # nothing pinned to the driver scale survives: neither a
@@ -3507,7 +3448,7 @@ class TestOracleRetargeting:
 class TestRandomizedCorpusParity:
     """Randomized (seeded) corpora through the FULL Ray pipelines vs
     DuckDB — breadth beyond the hand-built nasty fixtures for the ops
-    whose exchanges do nontrivial regrouping (segment dedup, pivot, lag).
+    whose exchanges do nontrivial regrouping (segment dedup, lag).
     Three seeds keep the wall cost bounded; failures print the seed."""
 
     @pytest.mark.parametrize("seed", [3, 31, 314])
@@ -3519,7 +3460,6 @@ class TestRandomizedCorpusParity:
         import pyarrow.parquet as pq
 
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import (  # noqa: F401
-            rollup,
             spans,
             windows,
         )
@@ -3575,7 +3515,7 @@ class TestRandomizedCorpusParity:
             con.execute(
                 f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
             )
-        for name in ("docs_dedup_segments", "user_event_pivot", "events_time_delta"):
+        for name in ("docs_dedup_segments", "events_time_delta"):
             ours = queryset.QUERIES[name](str(d)).to_pandas()
             gold = con.execute(queryset.ORACLE_SQL[name]).df()
             assert len(ours) == len(gold), f"{name} seed={seed}"
@@ -4090,68 +4030,6 @@ class TestNullEdgeRound2:
                 == b["xor_hash"].astype("uint64").to_numpy()).all()
 
 
-class TestLineitemCorr:
-    def test_planted_perfect_and_inverse_correlation(self, ray_session, tmp_path):
-        """y = 3x gives corr_e6 exactly 1e6; y = -2x gives -1e6; a
-        zero-variance group is excluded on both sides."""
-        import duckdb
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_corr_by_flag,
-        )
-
-        n = 50
-        flags = ["P"] * n + ["M"] * n + ["Z"] * n
-        qty = list(range(1, n + 1)) * 2 + [7.0] * n
-        price = [3.0 * q for q in range(1, n + 1)]
-        price += [-2.0 * q for q in range(1, n + 1)]
-        price += [9.0] * n  # constant in both columns → excluded
-        pq.write_table(
-            pa.table(
-                {
-                    "l_returnflag": pa.array(flags, type=pa.string()),
-                    "l_quantity": pa.array([float(q) for q in qty], type=pa.float64()),
-                    "l_extendedprice": pa.array(price, type=pa.float64()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-        ours = lineitem_corr_by_flag(str(tmp_path)).set_index("l_returnflag")
-        assert set(ours.index) == {"P", "M"}
-        assert int(ours.loc["P", "corr_e6"]) == 1_000_000
-        assert int(ours.loc["M", "corr_e6"]) == -1_000_000
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW lineitem AS SELECT * FROM "
-            f"read_parquet('{tmp_path}/lineitem.parquet')"
-        )
-        gold = con.execute(ORACLE_SQL["lineitem_corr_by_flag"]).df()
-        assert _value_hash(ours.reset_index()) == _value_hash(gold)
-
-    def test_matches_duckdb_corr_to_quantization(self, ray_session):
-        """On the real table the e6-fixed-point r agrees with DuckDB's own
-        corr() aggregate to the quantization step (the oracle reproduces
-        the engine's exact chain; corr() is the independent floatier twin)."""
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_corr_by_flag,
-        )
-
-        ours = lineitem_corr_by_flag(SF).set_index("l_returnflag")
-        ref = duckdb.connect().execute(
-            f"""
-            SELECT l_returnflag, corr(l_quantity, l_extendedprice) AS r
-            FROM read_parquet('{SF}/lineitem.parquet') GROUP BY 1
-            """
-        ).df().set_index("l_returnflag")
-        for flag in ours.index:
-            assert abs(ours.loc[flag, "corr_e6"] / 1e6 - ref.loc[flag, "r"]) < 1e-4
-
-
 class TestTokenFrequencySpectrum:
     def test_planted_spectrum_exact(self, ray_session, tmp_path):
         """Tokens planted at counts 1, 2, 3, 4, 8, 1000 land in exactly the
@@ -4403,28 +4281,6 @@ class TestSnapshotAndGini:
         )
         gold = con.execute(DOCS_GINI_BY_SOURCE_SQL).df()
         assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-
-class TestOrdersCube:
-    def test_cube_has_all_grouping_sets_and_consistent_totals(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            ROLLUP_ALL,
-            orders_cube,
-        )
-
-        out = orders_cube("/root/testdata/sf0.001").to_pandas()
-        dims = ["o_orderpriority", "o_orderstatus", "order_year"]
-        # every one of the 2^3 grouping sets is present
-        masks = {
-            tuple(c == ROLLUP_ALL for c in row)
-            for row in out[dims].itertuples(index=False)
-        }
-        assert len(masks) == 8
-        # the grand total equals the finest level's sum, for both measures
-        grand = out[(out[dims] == ROLLUP_ALL).all(axis=1)]
-        finest = out[(out[dims] != ROLLUP_ALL).all(axis=1)]
-        assert int(grand["n_orders"].iloc[0]) == int(finest["n_orders"].sum())
-        assert int(grand["revenue_e2"].iloc[0]) == int(finest["revenue_e2"].sum())
 
 
 class TestSession5NullEdges:
@@ -4679,355 +4535,6 @@ class TestWeightedMedianAndTTR:
         )
         gold = con.execute(SOURCE_LEXICAL_DIVERSITY_SQL).df()
         assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-
-class TestTpchQuartet:
-    """X112-X115: Q6 (scan-agg), Q14 (broadcast dimension), Q18
-    (group-filter-join + top-N), Q10 (two-exchange star + top-N).
-    Value parity vs DuckDB is in the blanket loop; these pin the
-    structural invariants and the ceiling guards."""
-
-    def test_q6_known_values(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q6_forecast_revenue,
-        )
-
-        def li(ship, disc, qty, price):
-            return dict(
-                l_shipdate=ship, l_discount=disc, l_quantity=qty,
-                l_extendedprice=price,
-            )
-
-        import datetime as dt
-
-        in_win = dt.datetime(1996, 6, 1)
-        out_win = dt.datetime(1997, 6, 1)
-        rows = [
-            li(in_win, 0.06, 10.0, 100.0),   # kept: 100*0.06 = 6.00 -> 60000 e4
-            li(in_win, 0.04, 10.0, 100.0),   # discount below band
-            li(in_win, 0.06, 30.0, 100.0),   # quantity past cap
-            li(out_win, 0.06, 10.0, 100.0),  # outside the year
-        ]
-        schema = pa.schema(
-            [
-                ("l_shipdate", pa.timestamp("us")), ("l_discount", pa.float64()),
-                ("l_quantity", pa.float64()), ("l_extendedprice", pa.float64()),
-            ]
-        )
-        pq.write_table(pa.Table.from_pylist(rows, schema=schema), tmp_path / "lineitem.parquet")
-        out = tpch_q6_forecast_revenue(str(tmp_path))
-        assert int(out["revenue_e4"].iloc[0]) == 60_000
-        assert int(out["n_lines"].iloc[0]) == 1
-
-    def test_q14_and_q18_and_q10_ceilings_raise_before_reading(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q10_returned_revenue,
-            tpch_q14_promo_revenue,
-            tpch_q18_large_orders,
-        )
-
-        with pytest.raises(ValueError, match="broadcast ceiling.*co-partition"):
-            tpch_q14_promo_revenue(SF, max_broadcast_keys=10)
-        with pytest.raises(ValueError, match="broadcast ceiling.*co-partition"):
-            tpch_q18_large_orders(SF, max_broadcast_keys=10)
-        with pytest.raises(ValueError, match="broadcast ceiling.*co-partition"):
-            tpch_q10_returned_revenue(SF, max_broadcast_keys=10)
-
-    def test_q18_threshold_and_total_order(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            Q18_QTY_MIN_E2,
-            tpch_q18_large_orders,
-        )
-
-        out = tpch_q18_large_orders(SF)
-        assert (out["qty_e2"] > Q18_QTY_MIN_E2).all()
-        # total tie-break: (price DESC, orderkey ASC) is a strict order
-        key = list(zip(-out["totalprice_e2"], out["o_orderkey"]))
-        assert key == sorted(key)
-        assert out["c_name"].notna().all()
-
-    def test_q10_returned_only_and_topn(self, ray_session):
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            Q10_TOP_N,
-            tpch_q10_returned_revenue,
-        )
-
-        out = tpch_q10_returned_revenue(SF)
-        assert len(out) <= Q10_TOP_N
-        assert (out["revenue_e2"] > 0).all()
-        # the winners' revenue is reproduced by a direct DuckDB recount
-        con = duckdb.connect()
-        gold = con.execute(
-            f"""
-            SELECT o.o_custkey AS c_custkey,
-                   CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount)
-                                        * 100, 0) AS BIGINT)) AS BIGINT) AS rev
-            FROM read_parquet('{SF}/lineitem.parquet') l
-            JOIN read_parquet('{SF}/orders.parquet') o
-              ON o.o_orderkey = l.l_orderkey
-            WHERE l.l_returnflag = 'R'
-              AND o.o_orderdate >= TIMESTAMP '1996-10-01'
-              AND o.o_orderdate < TIMESTAMP '1997-01-01'
-            GROUP BY 1
-            """
-        ).df().set_index("c_custkey")["rev"]
-        for _, r in out.iterrows():
-            assert int(gold.loc[int(r["c_custkey"])]) == int(r["revenue_e2"])
-
-
-class TestTpchSecondTrio:
-    """X116-X118: Q7 directional pairs, Q15 max-with-ties, Q13 zero-
-    inclusive count-of-counts. Value parity is in the blanket loop."""
-
-    def test_q7_directions_and_bounds(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            Q7_NATION_A,
-            Q7_NATION_B,
-            tpch_q7_volume_shipping,
-        )
-
-        out = tpch_q7_volume_shipping(SF)
-        assert len(out) > 0
-        pairs = set(zip(out["supp_nation"], out["cust_nation"]))
-        assert pairs <= {(Q7_NATION_A, Q7_NATION_B), (Q7_NATION_B, Q7_NATION_A)}
-        assert (out["revenue_e2"] > 0).all()
-        assert out["l_year"].between(1995, 1997).all()
-
-    def test_q15_ties_rule_on_fixture(self, ray_session, tmp_path):
-        import datetime as dt
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q15_top_supplier,
-        )
-
-        in_win = dt.datetime(1996, 2, 1)
-        rows = [
-            # suppliers 1 and 2 tie at 200.00; supplier 3 trails
-            dict(l_suppkey=1, l_shipdate=in_win, l_extendedprice=200.0, l_discount=0.0),
-            dict(l_suppkey=2, l_shipdate=in_win, l_extendedprice=100.0, l_discount=0.0),
-            dict(l_suppkey=2, l_shipdate=in_win, l_extendedprice=100.0, l_discount=0.0),
-            dict(l_suppkey=3, l_shipdate=in_win, l_extendedprice=50.0, l_discount=0.0),
-        ]
-        schema = pa.schema(
-            [
-                ("l_suppkey", pa.int64()), ("l_shipdate", pa.timestamp("us")),
-                ("l_extendedprice", pa.float64()), ("l_discount", pa.float64()),
-            ]
-        )
-        pq.write_table(pa.Table.from_pylist(rows, schema=schema), tmp_path / "lineitem.parquet")
-        pq.write_table(
-            pa.table(
-                {
-                    "s_suppkey": pa.array([1, 2, 3], type=pa.int64()),
-                    "s_name": pa.array(["S1", "S2", "S3"], type=pa.string()),
-                }
-            ),
-            tmp_path / "supplier.parquet",
-        )
-        out = tpch_q15_top_supplier(str(tmp_path))
-        assert list(out["s_suppkey"]) == [1, 2]  # BOTH tied winners, verbatim rule
-        assert set(out["total_revenue_e2"]) == {20_000}
-
-    def test_q13_includes_zero_order_customers(self, ray_session):
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q13_customer_distribution,
-        )
-
-        out = tpch_q13_customer_distribution(SF)
-        con = duckdb.connect()
-        total = con.execute(
-            f"SELECT count(*) FROM read_parquet('{SF}/customer.parquet')"
-        ).fetchone()[0]
-        assert int(out["custdist"].sum()) == total  # every customer in exactly one bucket
-        zero = con.execute(
-            f"""SELECT count(*) FROM read_parquet('{SF}/customer.parquet') c
-                WHERE c.c_custkey NOT IN
-                  (SELECT o_custkey FROM read_parquet('{SF}/orders.parquet'))"""
-        ).fetchone()[0]
-        got_zero = out.loc[out["c_count"] == 0, "custdist"]
-        assert (int(got_zero.iloc[0]) if len(got_zero) else 0) == zero
-
-
-class TestTpchFinalFour:
-    """X119-X122: Q8 market share, Q17 exact-integer threshold, Q19
-    disjunctive scan, Q22 recency anti-join. Value parity is in the
-    blanket loop; these pin structure and edge rules."""
-
-    def test_q8_share_bounds_and_grid(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q8_market_share,
-        )
-
-        out = tpch_q8_market_share(SF)
-        assert set(out["o_year"]) <= {1995, 1996}
-        assert (out["mkt_share"] >= 0.0).all() and (out["mkt_share"] <= 1.0).all()
-        assert (out["nation_e2"] <= out["total_e2"]).all()
-
-    def test_q17_integer_threshold_on_fixture(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            Q17_BRAND,
-            tpch_q17_small_quantity,
-        )
-
-        # part 1: qties 1, 1, 10 -> avg 4, 0.2*avg = 0.8 -> nothing below
-        # part 2: qties 1, 9, 10 -> avg 20/3, 0.2*avg = 4/3 -> the 1 row
-        # qualifies (exact rule: 100*3*5=1500 < 2000)
-        pq.write_table(
-            pa.table(
-                {
-                    "p_partkey": pa.array([1, 2, 3], type=pa.int64()),
-                    "p_brand": pa.array([Q17_BRAND, Q17_BRAND, "Brand#9"]),
-                }
-            ),
-            tmp_path / "part.parquet",
-        )
-        rows = []
-        for pk, q in [(1, 1.0), (1, 1.0), (1, 10.0), (2, 1.0), (2, 9.0), (2, 10.0), (3, 1.0)]:
-            rows.append(dict(l_partkey=pk, l_quantity=q, l_extendedprice=70.0))
-        schema = pa.schema(
-            [
-                ("l_partkey", pa.int64()), ("l_quantity", pa.float64()),
-                ("l_extendedprice", pa.float64()),
-            ]
-        )
-        pq.write_table(pa.Table.from_pylist(rows, schema=schema), tmp_path / "lineitem.parquet")
-        out = tpch_q17_small_quantity(str(tmp_path))
-        assert int(out["n_small"].iloc[0]) == 1
-        assert int(out["total_e2"].iloc[0]) == 7000
-        assert float(out["avg_yearly"].iloc[0]) == 10.0
-
-    def test_q19_known_disjuncts(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q19_disjunctive_revenue,
-        )
-
-        pq.write_table(
-            pa.table(
-                {
-                    "p_partkey": pa.array([1, 2, 3], type=pa.int64()),
-                    "p_brand": pa.array(["Brand#1", "Brand#2", "Brand#1"]),
-                    "p_size": pa.array([3, 8, 40], type=pa.int64()),
-                }
-            ),
-            tmp_path / "part.parquet",
-        )
-        rows = [
-            dict(l_partkey=1, l_quantity=5.0, l_extendedprice=100.0, l_discount=0.0),   # in (d1)
-            dict(l_partkey=1, l_quantity=20.0, l_extendedprice=100.0, l_discount=0.0),  # qty out
-            dict(l_partkey=2, l_quantity=15.0, l_extendedprice=50.0, l_discount=0.0),   # in (d2)
-            dict(l_partkey=3, l_quantity=5.0, l_extendedprice=100.0, l_discount=0.0),   # size out
-        ]
-        schema = pa.schema(
-            [
-                ("l_partkey", pa.int64()), ("l_quantity", pa.float64()),
-                ("l_extendedprice", pa.float64()), ("l_discount", pa.float64()),
-            ]
-        )
-        pq.write_table(pa.Table.from_pylist(rows, schema=schema), tmp_path / "lineitem.parquet")
-        out = tpch_q19_disjunctive_revenue(str(tmp_path))
-        assert int(out["revenue_e2"].iloc[0]) == 15_000
-        assert int(out["n_lines"].iloc[0]) == 2
-
-    def test_q22_anti_join_rules_on_fixture(self, ray_session, tmp_path):
-        import datetime as dt
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q22_global_sales_opportunity,
-        )
-
-        # balances: 100, 200, 300, -50 -> positive avg = 200; "rich" = >200
-        # cust 3 (300): no recent order -> the one winner
-        # cust 4 (300): recent order -> excluded by the anti-join
-        pq.write_table(
-            pa.table(
-                {
-                    "c_custkey": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
-                    "c_nationkey": pa.array([7, 7, 7, 7, 8], type=pa.int64()),
-                    "c_acctbal": pa.array([100.0, 200.0, 300.0, 300.0, -50.0]),
-                }
-            ),
-            tmp_path / "customer.parquet",
-        )
-        old, new = dt.datetime(1999, 1, 1), dt.datetime(2000, 6, 1)
-        pq.write_table(
-            pa.table(
-                {
-                    "o_custkey": pa.array([3, 4], type=pa.int64()),
-                    "o_orderdate": pa.array([old, new], type=pa.timestamp("us")),
-                }
-            ),
-            tmp_path / "orders.parquet",
-        )
-        out = tpch_q22_global_sales_opportunity(str(tmp_path))
-        assert len(out) == 1
-        assert int(out["c_nationkey"].iloc[0]) == 7
-        assert int(out["numcust"].iloc[0]) == 1
-        assert int(out["totacctbal_e2"].iloc[0]) == 30_000
-
-    def test_final_four_ceilings(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.tpchx import (
-            tpch_q8_market_share,
-            tpch_q17_small_quantity,
-            tpch_q19_disjunctive_revenue,
-        )
-
-        for fn in (tpch_q8_market_share, tpch_q17_small_quantity,
-                   tpch_q19_disjunctive_revenue):
-            with pytest.raises(ValueError, match="broadcast ceiling.*co-partition"):
-                fn(SF, max_broadcast_keys=10)
-
-
-class TestRegressionByFlag:
-    """X125 grouped OLS: known-value fixture + zero-variance exclusion.
-    Value parity vs DuckDB is in the blanket loop."""
-
-    def test_known_fit_and_zero_variance(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_regression_by_flag,
-        )
-
-        rows = [
-            # flag A: y = 2x + 1 exactly -> slope 2, intercept 1
-            dict(l_returnflag="A", l_quantity=1.0, l_extendedprice=3.0),
-            dict(l_returnflag="A", l_quantity=2.0, l_extendedprice=5.0),
-            dict(l_returnflag="A", l_quantity=3.0, l_extendedprice=7.0),
-            # flag B: constant x -> zero variance, excluded
-            dict(l_returnflag="B", l_quantity=4.0, l_extendedprice=1.0),
-            dict(l_returnflag="B", l_quantity=4.0, l_extendedprice=9.0),
-        ]
-        schema = pa.schema(
-            [
-                ("l_returnflag", pa.string()), ("l_quantity", pa.float64()),
-                ("l_extendedprice", pa.float64()),
-            ]
-        )
-        pq.write_table(pa.Table.from_pylist(rows, schema=schema), tmp_path / "lineitem.parquet")
-        out = lineitem_regression_by_flag(str(tmp_path))
-        assert list(out["l_returnflag"]) == ["A"]
-        assert int(out["slope_e6"].iloc[0]) == 2_000_000
-        assert int(out["intercept_e6"].iloc[0]) == 1_000_000
 
 
 class TestEmbDimensionStats:
@@ -5582,71 +5089,6 @@ class TestOrdersShipDelayProfile:
 
         self._tables(tmp_path, [(1, None, "U")], [(1, None)])
         assert len(orders_ship_delay_profile(str(tmp_path))) == 0
-
-
-class TestLineitemSpearman:
-    """X136 grouped Spearman: exact average-rank tie handling through the
-    counting-rank exchange, perfect monotone (nonlinear) = +/-1e6,
-    zero-variance exclusion, NULL exclusion, DuckDB doubled-rank parity."""
-
-    @staticmethod
-    def _lineitem(rows, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        pq.write_table(
-            pa.table(
-                {
-                    "l_returnflag": pa.array([r[0] for r in rows], pa.string()),
-                    "l_quantity": pa.array([r[1] for r in rows], pa.float64()),
-                    "l_extendedprice": pa.array([r[2] for r in rows], pa.float64()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-
-    def test_ties_monotone_and_exclusions(self, ray_session, tmp_path):
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_spearman_by_flag,
-        )
-
-        rows = []
-        # flag T: x=[1,1,2,3], y=[10,20,20,30] -> doubled ranks
-        # rx=[3,3,6,8], ry=[2,5,5,8]; rho = 60/72 -> 833333
-        rows += [("T", 1.0, 10.0), ("T", 1.0, 20.0), ("T", 2.0, 20.0), ("T", 3.0, 30.0)]
-        # flag M: y = x^3 (nonlinear, strictly monotone) -> exactly 1e6
-        rows += [("M", float(i), float(i) ** 3) for i in range(1, 8)]
-        # flag D: strictly decreasing -> exactly -1e6
-        rows += [("D", float(i), float(100 - i)) for i in range(1, 6)]
-        # flag Z: constant y -> zero rank variance -> excluded
-        rows += [("Z", 1.0, 5.0), ("Z", 2.0, 5.0)]
-        # NULLs excluded everywhere
-        rows += [(None, 1.0, 1.0), ("T", None, 1.0), ("T", 1.0, None)]
-        self._lineitem(rows, tmp_path)
-        out = lineitem_spearman_by_flag(str(tmp_path)).set_index("l_returnflag")
-        assert set(out.index) == {"T", "M", "D"}
-        assert int(out.loc["T", "spearman_e6"]) == 833333
-        assert int(out.loc["M", "spearman_e6"]) == 1_000_000
-        assert int(out.loc["D", "spearman_e6"]) == -1_000_000
-        assert int(out.loc["T", "n"]) == 4
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW lineitem AS SELECT * FROM "
-            f"read_parquet('{tmp_path}/lineitem.parquet')"
-        )
-        gold = con.execute(ORACLE_SQL["lineitem_spearman_by_flag"]).df()
-        assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-    def test_all_excluded(self, ray_session, tmp_path):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_spearman_by_flag,
-        )
-
-        self._lineitem([("Z", 1.0, 5.0), ("Z", 2.0, 5.0), (None, 1.0, 1.0)], tmp_path)
-        assert len(lineitem_spearman_by_flag(str(tmp_path))) == 0
 
 
 class TestSourceVocabOverlap:
@@ -7029,65 +6471,6 @@ class TestLangIdConfusion:
         )
         gold = con.execute(ORACLE_SQL["lang_id_confusion"]).df()
         assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-
-class TestLineitemKendall:
-    """X157 Kendall tau-b: perfect concordance -> 1e6, a hand-computed
-    tied table, zero-variance exclusion, DuckDB cell-pair parity."""
-
-    @staticmethod
-    def _lineitem(rows, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        pq.write_table(
-            pa.table(
-                {
-                    "l_quantity": pa.array([r[0] for r in rows], pa.float64()),
-                    "l_linenumber": pa.array([r[1] for r in rows], pa.int32()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-
-    def test_hand_computed(self, ray_session, tmp_path):
-        import math
-
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_kendall_qty_line,
-        )
-
-        # (x, y): (1,1) (1,2) (2,1) (2,2) (2,2)
-        # pairs: C = n(1,1)n(2,2)=2 ; D = n(1,2)n(2,1)=1 ; others tied
-        # n=5, n0=10 ; tx: x=1:2, x=2:3 -> n1 = 1+3 = 4
-        # ty: y=1:2, y=2:3 -> n2 = 4 ; tau = (2-1)/sqrt(6*6) = 1/6
-        rows = [(1.0, 1), (1.0, 2), (2.0, 1), (2.0, 2), (2.0, 2)]
-        self._lineitem(rows, tmp_path)
-        out = lineitem_kendall_qty_line(str(tmp_path)).iloc[0]
-        assert (int(out["concordant"]), int(out["discordant"])) == (2, 1)
-        assert int(out["tau_b_e6"]) == math.floor(1 / 6 * 1e6 + 0.5)
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW lineitem AS SELECT * FROM "
-            f"read_parquet('{tmp_path}/lineitem.parquet')"
-        )
-        gold = con.execute(ORACLE_SQL["lineitem_kendall_qty_line"]).df()
-        assert _value_hash(out.to_frame().T.reset_index(drop=True)) == _value_hash(gold)
-
-    def test_perfect_and_degenerate(self, ray_session, tmp_path):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.rollup import (
-            lineitem_kendall_qty_line,
-        )
-
-        # strictly increasing, no ties -> exactly +1e6
-        self._lineitem([(float(i), i) for i in range(1, 6)], tmp_path)
-        assert int(lineitem_kendall_qty_line(str(tmp_path)).iloc[0]["tau_b_e6"]) == 1_000_000
-        # constant x -> zero variance -> excluded
-        self._lineitem([(1.0, 1), (1.0, 2), (1.0, 3)], tmp_path)
-        assert len(lineitem_kendall_qty_line(str(tmp_path))) == 0
 
 
 class TestUserLifetimeHistogram:
