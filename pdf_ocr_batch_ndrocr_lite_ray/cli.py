@@ -212,7 +212,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     _init_ray(_resolve(args, config, "num_cpus"))
     from .pipelines.conversations import reassemble_conversations
-    from .pipelines.extraction import extract_transcripts
+    from .pipelines.extraction import extract_transcripts, package_remote_args
     from .pipelines.prep import dedup_stats_split, quality_gate
 
     inputs = _expand_inputs(args.input, "parquet")
@@ -234,10 +234,12 @@ def cmd_prep(args: argparse.Namespace) -> int:
             inputs, batch_size=_resolve(args, config, "batch_size")
         )
         convs = reassemble_conversations(
-            ext.map_batches(quality_gate, batch_format="pyarrow")
+            ext.map_batches(
+                quality_gate, batch_format="pyarrow", **package_remote_args()
+            )
         )
         result = dedup_stats_split(convs)
-    result.write_parquet(str(out))
+    result.write_parquet(str(out), ray_remote_args=package_remote_args())
 
     from .state.checkpoint import count_values
 

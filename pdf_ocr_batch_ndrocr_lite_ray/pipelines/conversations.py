@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from .dedup import _hash_partitioned
-from .extraction import extract_transcripts
+from .extraction import extract_transcripts, package_remote_args
 from .queryset import register, transcripts_for_sf
 
 SALT_BLOCK = 64  # turns per salt segment
@@ -123,9 +123,13 @@ def reassemble_conversations(
     extracted: "ray.data.Dataset", salt_block: int = SALT_BLOCK
 ) -> "ray.data.Dataset":
     """(conv_id, full_text, n_turns) from an extracted-turn Dataset."""
-    ds = extracted.select_columns(["conv_id", "turn_idx", "extracted_text"])
+    remote_args = package_remote_args()
+    ds = extracted.select_columns(
+        ["conv_id", "turn_idx", "extracted_text"], **remote_args
+    )
     ds = ds.map_batches(
-        lambda b: _add_salt_key(b, salt_block), batch_format="pyarrow"
+        lambda b: _add_salt_key(b, salt_block), batch_format="pyarrow",
+        **remote_args,
     )
     segments = _hash_partitioned(ds, "seg_key", _assemble_segment)
     return _hash_partitioned(segments, "conv_id", _merge_segments)

@@ -6,6 +6,8 @@ import pyarrow as pa
 
 import ray.data
 
+from .extraction import package_remote_args
+
 _GROUP_PARTITIONS = 64
 
 
@@ -234,16 +236,17 @@ def hash_partitioned(
     # when the input is a partial-emitting map stage) into ~that many-row
     # batches before the sort — the shuffle pays per-(block × partition)
     # metadata overhead that dwarfs the data cost on hundreds of small
-    # blocks (see recombine_partials; identity version for mixed/stub
-    # schemas that a keyed re-aggregation can't express).
+    # blocks.
+    remote_args = package_remote_args()
     if coalesce_rows is not None:
         ds = ds.map_batches(
-            lambda t: t, batch_format="pyarrow", batch_size=coalesce_rows
+            lambda t: t, batch_format="pyarrow", batch_size=coalesce_rows,
+            **remote_args,
         )
     return (
-        ds.map_batches(add_pid, batch_format="pyarrow")
+        ds.map_batches(add_pid, batch_format="pyarrow", **remote_args)
         .groupby("_pid")
-        .map_groups(run_partition, batch_format="pandas")
+        .map_groups(run_partition, batch_format="pandas", **remote_args)
     )
 
 
@@ -352,28 +355,3 @@ def footer_min_max(path: str, column: str):
     if mn is None:
         return None
     return mn, mx
-
-
-def recombine_partials(
-    ds: "ray.data.Dataset", keys: list[str], sums: list[str],
-    batch_size: int = 1 << 20,
-) -> "ray.data.Dataset":
-    """Coalesce + re-aggregate keyed sum-partials across blocks BEFORE an
-    exchange. A partial-emitting map stage produces one (small) block per
-    read task; feeding hundreds of tiny blocks into the sort-based
-    groupby exchange pays per-block shuffle overhead far above the data
-    cost (measured 9s on 161k partial rows in 160 blocks vs <1s in 2).
-    One cross-block ``map_batches`` with a large ``batch_size`` bundles
-    those blocks into ~``batch_size``-row batches and re-runs the same
-    keyed sum, shrinking both the block COUNT and the row count that
-    reach the exchange. Streaming-safe: no all-to-all, bounded memory
-    (one bundle at a time), and the re-aggregation is the same mergeable
-    sum the downstream fold performs anyway."""
-
-    def combine(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate([(c, "sum") for c in sums])
-        return g.rename_columns(list(keys) + list(sums))
-
-    return ds.map_batches(
-        combine, batch_format="pyarrow", batch_size=batch_size
-    )

@@ -25,7 +25,7 @@ import ray.data
 from ..functions.textstats import text_stats_columns
 from .conversations import reassemble_conversations
 from .exchange import hash_partitioned
-from .extraction import extract_transcripts
+from .extraction import extract_transcripts, package_remote_args
 from .queryset import register, transcripts_for_sf
 
 KEEP_ACTIONS = ("extracted", "skipped_clean", "extracted_fallback")
@@ -48,7 +48,9 @@ def prep_corpus(sf_dir: str) -> "ray.data.Dataset":
     document scope).
     """
     ext = extract_transcripts(transcripts_for_sf(sf_dir))
-    convs = reassemble_conversations(ext.map_batches(quality_gate, batch_format="pyarrow"))
+    convs = reassemble_conversations(
+        ext.map_batches(quality_gate, batch_format="pyarrow", **package_remote_args())
+    )
     return dedup_stats_split(convs)
 
 
@@ -70,7 +72,7 @@ def prep_corpus_resumable(
     run_resumable_extraction(input_paths, ckpt_dir, max_partitions=max_partitions)
     ext = read_extracted(ckpt_dir)
     convs = reassemble_conversations(
-        ext.map_batches(quality_gate, batch_format="pyarrow")
+        ext.map_batches(quality_gate, batch_format="pyarrow", **package_remote_args())
     )
     return dedup_stats_split(convs)
 
@@ -89,7 +91,9 @@ def dedup_stats_split(convs: "ray.data.Dataset") -> "ray.data.Dataset":
         )
         return batch.append_column("fingerprint", fps)
 
-    convs = convs.map_batches(fingerprint, batch_format="pyarrow")
+    convs = convs.map_batches(
+        fingerprint, batch_format="pyarrow", **package_remote_args()
+    )
 
     def first_wins(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["fingerprint", "conv_id"], kind="stable")
@@ -117,7 +121,9 @@ def dedup_stats_split(convs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    return deduped.map_batches(stats_and_split, batch_format="pyarrow")
+    return deduped.map_batches(
+        stats_and_split, batch_format="pyarrow", **package_remote_args()
+    )
 
 
 def prep_plain_corpus(sf_dir: str) -> "ray.data.Dataset":
@@ -132,7 +138,9 @@ def prep_plain_corpus(sf_dir: str) -> "ray.data.Dataset":
         # of the keep-condition, so the oracled flow can't drift from prep
         return quality_gate(batch.filter(pc.equal(batch["content_kind"], "plain")))
 
-    convs = reassemble_conversations(ext.map_batches(plain_gate, batch_format="pyarrow"))
+    convs = reassemble_conversations(
+        ext.map_batches(plain_gate, batch_format="pyarrow", **package_remote_args())
+    )
     return dedup_stats_split(convs)
 
 

@@ -54,6 +54,7 @@ import ray.data
 
 from ..pipelines.extraction import package_remote_args
 from ..stages.extract import extract_batch
+from .output_paths import ON_CONFLICT_FAIL, ON_CONFLICT_OVERWRITE
 
 DATA_SUBDIR = "data"
 CKPT_SUBDIR = "_ckpt"
@@ -137,7 +138,8 @@ def run_resumable_extraction(
     ``on_conflict`` is the writer policy (reference U4, app.py:2519-2529):
     ``"overwrite"`` tears down uncommitted partition dirs and rewrites them
     (idempotent resume); ``"fail"`` raises if any uncommitted partition dir
-    already exists (the reference's conflict=abort mode).
+    already exists (the reference's conflict=abort mode). Any other value
+    raises ``ValueError`` before anything is created or torn down.
 
     ``wave_size`` fragments are processed per streaming job and their
     manifests committed before the next wave starts — a mid-run kill
@@ -146,6 +148,8 @@ def run_resumable_extraction(
     Returns a job report: counters summed over ALL committed partitions
     (previous runs included), plus how many were skipped as already done.
     """
+    if on_conflict not in (ON_CONFLICT_OVERWRITE, ON_CONFLICT_FAIL):
+        raise ValueError(f"unknown on_conflict policy: {on_conflict!r}")
     out_dir = Path(out_dir)
     (out_dir / CKPT_SUBDIR).mkdir(parents=True, exist_ok=True)
     (out_dir / DATA_SUBDIR).mkdir(parents=True, exist_ok=True)
@@ -163,7 +167,7 @@ def run_resumable_extraction(
     for pid, path in remaining:
         pdir = _partition_dir(out_dir, pid)
         if pdir.exists():
-            if on_conflict == "fail":
+            if on_conflict == ON_CONFLICT_FAIL:
                 raise FileExistsError(
                     f"uncommitted partition exists: {pdir} (from input {path}); "
                     "rerun with on_conflict='overwrite' to rewrite it"
@@ -294,4 +298,6 @@ def count_values(path: Union[str, Path], column: str) -> Counter:
 
 def read_extracted(out_dir: Union[str, Path]) -> "ray.data.Dataset":
     """Read a completed run's output as a Dataset (unordered; sort to canon)."""
-    return ray.data.read_parquet(str(Path(out_dir) / DATA_SUBDIR))
+    return ray.data.read_parquet(
+        str(Path(out_dir) / DATA_SUBDIR), ray_remote_args=package_remote_args()
+    )

@@ -630,6 +630,59 @@ class TestResume:
         golden_rows = sum(oracle_extract_parquet(p).num_rows for p in paths)
         assert report["rows"] == golden_rows
 
+    def test_prep_resumable_from_outside_repo_root(self, ray_session, tmp_path):
+        """The composed prep flow through the checkpoint, from a driver
+        outside the repo that imports the package through its own
+        ``sys.path``: phase 2 (read the checkpoint, gate, reassemble,
+        dedup, stats, split) must ship the package runtime env like
+        phase 1, and give the rows of the same flow run in-repo."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.prep import prep_corpus_resumable
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {str(repo)!r})
+            import ray
+            from pdf_ocr_batch_ndrocr_lite_ray.pipelines.prep import (
+                prep_corpus_resumable,
+            )
+            ray.init(address="local", num_cpus=1, include_dashboard=False)
+            try:
+                prep_corpus_resumable({paths!r}, "ckpt", max_partitions=1)
+                prep_corpus_resumable({paths!r}, "ckpt").write_parquet("out")
+            finally:
+                ray.shutdown()
+            """
+        )
+        env = {
+            k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        outside = pq.read_table(tmp_path / "out").to_pandas()
+        inside = prep_corpus_resumable(paths, tmp_path / "ckpt-in").to_pandas()
+        assert len(inside) > 0
+
+        def canon(df):
+            return df.sort_values("conv_id").reset_index(drop=True).astype(str)
+
+        assert canon(outside).equals(canon(inside))
+
     def test_extract_from_outside_repo_root(self, tmp_path):
         """The flagship, unordered and on the ordered fast path, from a
         driver outside the repo that imports the package through its own

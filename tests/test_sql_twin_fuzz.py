@@ -122,28 +122,6 @@ class TestPrioritySamplingChainTwin:
             assert np_q == sql_q, (w, h)
 
 
-class TestTruncatingDivisionTwin:
-    def test_week_bucketing_matches_duckdb_on_pre_epoch(self, con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows import WEEK_US
-
-        rng = np.random.default_rng(23)
-        us = np.concatenate(
-            [
-                rng.integers(-5 * WEEK_US, 5 * WEEK_US, size=200),
-                np.array([0, -1, 1, WEEK_US, -WEEK_US, -WEEK_US - 1, WEEK_US - 1]),
-            ]
-        )
-        rows = con.execute(
-            f"SELECT v, v // {WEEK_US} FROM (SELECT unnest(?::BIGINT[]) AS v)",
-            [[int(v) for v in us]],
-        ).fetchall()
-        for v, sql_wk in rows:
-            q = int(v) // WEEK_US
-            if v < 0 and v - q * WEEK_US != 0:
-                q += 1  # the engine's trunc correction (windows.per_user)
-            assert q == sql_wk, v
-
-
 class TestBoilerplateTrimTwin:
     def test_crlf_tab_nbsp_lines_match_duckdb(self, ray_session, tmp_path, con):
         """docs_boilerplate_lines vs its DuckDB twin on lines whose edges
