@@ -223,16 +223,17 @@ def cmd_prep(args: argparse.Namespace) -> int:
     if out is None:
         return 2
 
+    batch_size = _resolve(args, config, "batch_size")
     if getattr(args, "checkpoint_dir", None):
         # durable extraction checkpoint: a killed prep rerun skips every
         # committed fragment instead of re-extracting from scratch
         from .pipelines.prep import prep_corpus_resumable
 
-        result = prep_corpus_resumable(inputs, args.checkpoint_dir)
-    else:
-        ext = extract_transcripts(
-            inputs, batch_size=_resolve(args, config, "batch_size")
+        result = prep_corpus_resumable(
+            inputs, args.checkpoint_dir, batch_size=batch_size
         )
+    else:
+        ext = extract_transcripts(inputs, batch_size=batch_size)
         convs = reassemble_conversations(
             ext.map_batches(
                 quality_gate, batch_format="pyarrow", **package_remote_args()
@@ -286,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-partitions", type=int, default=None)
     p.add_argument("--wave-size", type=int, default=None,
-                   help="fragments per streaming job (manifests commit per wave)")
+                   help="fragments per wave: one Ray task each, and the wave's "
+                        "manifests commit once all of its tasks ended")
     p.add_argument("--on-conflict", choices=["overwrite", "fail"], default="overwrite",
                    help="policy for uncommitted partition dirs from a prior attempt")
     p.set_defaults(fn=cmd_resume)

@@ -55,7 +55,11 @@ def prep_corpus(sf_dir: str) -> "ray.data.Dataset":
 
 
 def prep_corpus_resumable(
-    input_paths, ckpt_dir, *, max_partitions: int | None = None
+    input_paths,
+    ckpt_dir,
+    *,
+    batch_size: int | None = None,
+    max_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Composed prep with a durable extraction checkpoint.
 
@@ -65,11 +69,14 @@ def prep_corpus_resumable(
     gate → reassembly → dedup/stats/split. The checkpoint boundary sits
     just before the composition's first shuffle, the only place a resume
     is cheap: everything after it is one streaming job over durable input.
+    ``batch_size`` is phase 1's read batch (``None``: whole row groups);
     ``max_partitions`` bounds phase-1 work (tests simulate a kill with it).
     """
     from ..state.checkpoint import read_extracted, run_resumable_extraction
 
-    run_resumable_extraction(input_paths, ckpt_dir, max_partitions=max_partitions)
+    run_resumable_extraction(
+        input_paths, ckpt_dir, batch_size=batch_size, max_partitions=max_partitions
+    )
     ext = read_extracted(ckpt_dir)
     convs = reassemble_conversations(
         ext.map_batches(quality_gate, batch_format="pyarrow", **package_remote_args())

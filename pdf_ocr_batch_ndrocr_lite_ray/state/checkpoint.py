@@ -10,24 +10,28 @@ Ray-native analog here:
   scheduling — so the partition layout is identical at any parallelism,
   which is what makes the N vs 4N scaling runs byte-comparable and resume
   deterministic.
-- each wave runs one task per fragment (``from_items → map_batches``). The
-  task reads its fragment a row group (or ``batch_size`` rows) at a time,
-  extracts, writes one fixed-name file ``part_id=<hex>/part-0.parquet``
-  and counts the ``action`` column of what that dir holds — counters come
-  from the written output, never from driver-side accumulation. A retried
-  or resumed task recomputes the same rows from the same lineage and
-  overwrites its own file, so it leaves no orphan beside it.
-- fragments are processed in bounded WAVES (``wave_size`` fragments per
-  Ray Data job); once every task of a wave has finished, a manifest
-  ``_ckpt/<part_id>.json`` is committed per fragment recording lineage
-  (input path, row count), output row count, and per-action counters —
-  the manifest is the commit marker, written strictly AFTER the data,
-  and only when the output row count equals the input row count
+- each wave runs one plain Ray task per fragment (``_extract_partition``).
+  The task reads its fragment a row group (or ``batch_size`` rows) at a
+  time, extracts, writes one fixed-name file
+  ``part_id=<hex>/part-0.parquet`` and counts the ``action`` column of
+  what that dir holds — counters come from the written output, never from
+  driver-side accumulation. A retried or resumed task recomputes the same
+  rows from the same lineage and overwrites its own file, so it leaves no
+  orphan beside it. Ray Data adds nothing to a fixed list of independent
+  fragments but its start-up cost, so no wave builds a Dataset.
+- fragments are processed in bounded WAVES (``wave_size`` fragments at a
+  time); once every task of a wave has ended, failed ones included, a
+  manifest ``_ckpt/<part_id>.json`` is committed per fragment recording
+  lineage (input path, row count), output row count, and per-action
+  counters — the manifest is the commit marker, written strictly AFTER
+  the data, and only when the output row count equals the input row count
   (extraction is 1:1); a partition that fails the check is torn down and
-  the run raises.
+  the run raises. A wave with a failed task commits nothing, and raises
+  only after its other tasks ended, so none of them is still writing when
+  a resume tears their dirs down.
   Wave-granular commit means a job killed after k waves resumes at wave
   k+1 instead of reprocessing the whole run; the wave size trades resume
-  granularity against per-job pipeline startup cost.
+  granularity against the barrier at the end of each wave.
 - **resume**: fragments with a manifest are filtered out of the plan (the
   skip happens at the *file list*, so completed partitions cost zero I/O);
   partition dirs without a manifest are torn down and rewritten
@@ -51,6 +55,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
+from ray.exceptions import RaySystemError
 
 from ..pipelines.extraction import package_remote_args
 from ..stages.extract import extract_batch
@@ -105,12 +110,13 @@ def committed_totals(out_dir: Union[str, Path]) -> dict:
 
 
 def _default_wave_size() -> int:
-    """Fragments per streaming job — the durability-granularity knob.
+    """Fragments per wave — the durability-granularity knob.
 
-    A wave boundary costs one Ray Data job start plus a drain barrier and
-    the manifest commits. On the 64-shard bench corpus (sf0.01, 24,695
-    turns, 2 Ray CPUs on a 4-vCPU VM) wave=16 / 32 / 64 ran in 5.4 / 5.5 /
-    5.3 s, so a boundary costs well under a second. 4× the CPU count keeps
+    A wave boundary costs a barrier (the next wave waits for the slowest
+    task of this one) plus the manifest commits. Over perfbench's 16-shard
+    ``MIXED_STRATA`` corpus (8,000 turns, 2 Ray CPUs on a 4-vCPU VM, warm
+    workers) wave=2 / 4 / 8 / 16 ran in 0.78 / 0.66 / 0.61 / 0.55 s
+    (median of 5), so a boundary costs about 30 ms. 4× the CPU count keeps
     every wave wide enough to saturate the machine, while a kill still
     loses at most one wave. Callers needing finer recovery granularity
     pass ``wave_size`` explicitly."""
@@ -141,8 +147,8 @@ def run_resumable_extraction(
     already exists (the reference's conflict=abort mode). Any other value
     raises ``ValueError`` before anything is created or torn down.
 
-    ``wave_size`` fragments are processed per streaming job and their
-    manifests committed before the next wave starts — a mid-run kill
+    ``wave_size`` fragments are processed per wave, one Ray task each, and
+    their manifests committed before the next wave starts — a mid-run kill
     recovers every completed wave, not nothing.
 
     Returns a job report: counters summed over ALL committed partitions
@@ -176,6 +182,7 @@ def run_resumable_extraction(
 
     if remaining:
         wave = wave_size or _default_wave_size()
+        extract = _extract_partition.options(**package_remote_args())
         run_started = time.monotonic()
         run_rows = 0
         for start in range(0, len(remaining), wave):
@@ -184,17 +191,15 @@ def run_resumable_extraction(
             # package's location ships only when the workers cannot import
             # it (a driver outside the repo root), so they otherwise reuse
             # the workers Ray prestarts
-            ds = ray.data.from_items(
-                [{"part_id": pid, "path": path} for pid, path in batch_frags],
-                override_num_blocks=len(batch_frags),
-            ).map_batches(
-                _extract_partitions,
-                batch_format="pyarrow",
-                batch_size=None,
-                fn_kwargs={"out_dir": str(out_dir), "batch_size": batch_size},
-                **package_remote_args(),
-            )
-            results = {r["part_id"]: r for r in ds.take_all()}
+            refs = [
+                extract.remote(pid, path, str(out_dir), batch_size)
+                for pid, path in batch_frags
+            ]
+            # barrier: every task of the wave ends before the first error
+            # is raised, so no task of a failed wave is still writing when
+            # a resume tears its partition dir down
+            ray.wait(refs, num_returns=len(refs))
+            results = ray.get(refs)
 
             # commit: manifests written only after every task of this wave
             # finished, BEFORE the next wave starts — the streaming
@@ -202,9 +207,7 @@ def run_resumable_extraction(
             # fewer rows than its input (e.g. an orphan file left by an
             # earlier writer) is torn down, never committed
             uneven = []
-            for pid, path in batch_frags:
-                input_rows = results[pid]["input_rows"]
-                actions = json.loads(results[pid]["actions"])
+            for (pid, path), (input_rows, actions) in zip(batch_frags, results):
                 output_rows = sum(actions.values())
                 if output_rows != input_rows:
                     uneven.append(f"{path}: {output_rows} rows out, {input_rows} in")
@@ -249,37 +252,38 @@ def run_resumable_extraction(
     return report
 
 
-def _extract_partitions(
-    frags: pa.Table, out_dir: str, batch_size: Optional[int]
-) -> pa.Table:
-    """Extract each ``(part_id, path)`` fragment into its partition dir.
+# Ray Data's task defaults: a worker crash retries the fragment, and a call
+# made inside a placement group does not schedule into it
+@ray.remote(
+    max_retries=-1, retry_exceptions=[RaySystemError], scheduling_strategy="DEFAULT"
+)
+def _extract_partition(
+    part_id: str, path: str, out_dir: str, batch_size: Optional[int]
+) -> tuple[int, dict]:
+    """Extract one input fragment into its partition dir.
 
     The fragment is read one row group at a time, or ``batch_size`` rows at
     a time when given, so memory stays bounded by one batch. All batches go
-    through one writer to the fixed ``PART_FILE``. Returns per fragment the
-    input row count (from the footer) and, as JSON, the action counts of
-    what the partition dir holds afterwards.
+    through one writer to the fixed ``PART_FILE``. Returns the input row
+    count (from the footer) and the action counts of what the partition dir
+    holds afterwards.
     """
-    out = []
-    for frag in frags.to_pylist():
-        pdir = _partition_dir(Path(out_dir), frag["part_id"])
-        with pq.ParquetFile(frag["path"]) as f:
-            if batch_size:
-                chunks = (pa.Table.from_batches([b]) for b in f.iter_batches(batch_size))
-            else:
-                chunks = (f.read_row_group(i) for i in range(f.num_row_groups))
-            tables = (extract_batch(c) for c in chunks if c.num_rows)
-            first = next(tables, None)
-            if first is not None:  # an empty fragment writes no file
-                pdir.mkdir(parents=True, exist_ok=True)
-                with pq.ParquetWriter(pdir / PART_FILE, first.schema) as writer:
-                    writer.write_table(first)
-                    for table in tables:
-                        writer.write_table(table)
-            input_rows = f.metadata.num_rows
-        actions = json.dumps(dict(_count_actions(pdir)))
-        out.append({**frag, "input_rows": input_rows, "actions": actions})
-    return pa.Table.from_pylist(out)
+    pdir = _partition_dir(Path(out_dir), part_id)
+    with pq.ParquetFile(path) as f:
+        if batch_size:
+            chunks = (pa.Table.from_batches([b]) for b in f.iter_batches(batch_size))
+        else:
+            chunks = (f.read_row_group(i) for i in range(f.num_row_groups))
+        tables = (extract_batch(c) for c in chunks if c.num_rows)
+        first = next(tables, None)
+        if first is not None:  # an empty fragment writes no file
+            pdir.mkdir(parents=True, exist_ok=True)
+            with pq.ParquetWriter(pdir / PART_FILE, first.schema) as writer:
+                writer.write_table(first)
+                for table in tables:
+                    writer.write_table(table)
+        input_rows = f.metadata.num_rows
+    return input_rows, dict(_count_actions(pdir))
 
 
 def _count_actions(partition_dir: Path) -> Counter:

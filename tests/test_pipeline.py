@@ -789,6 +789,39 @@ class TestResume:
         assert prepped["splits"] == dict(written)
         assert prepped["conversations"] == sum(written.values()) > 0
 
+    def test_cli_prep_checkpoint_honours_batch_size(self, tmp_path):
+        """``prep --checkpoint-dir --batch-size N`` reads each fragment N
+        rows at a time, like ``prep`` without a checkpoint: each read batch
+        goes through the partition writer as its own row group, so every
+        row group of the checkpoint holds at most N rows."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import part_id_for_path
+
+        repo = Path(__file__).resolve().parents[1]
+        paths = self._write_shards(tmp_path, n_shards=2, convs_per_shard=3)
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+        ckpt = tmp_path / "ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdf_ocr_batch_ndrocr_lite_ray.cli", "prep",
+             "--num-cpus", "2", "--input", *paths, "--output", str(tmp_path / "prep"),
+             "--checkpoint-dir", str(ckpt), "--batch-size", "2"],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert json.loads(proc.stdout.strip().splitlines()[-1])["conversations"] > 0
+
+        for path in paths:
+            part = ckpt / "data" / f"part_id={part_id_for_path(path)}" / "part-0.parquet"
+            meta = pq.ParquetFile(part).metadata
+            assert meta.num_rows == pq.ParquetFile(path).metadata.num_rows > 2
+            sizes = [meta.row_group(i).num_rows for i in range(meta.num_row_groups)]
+            assert max(sizes) == 2, (part, sizes)
+
     def test_cli_jsonl_export_runs_the_pipeline_once(self, tmp_path):
         """``extract --output-format jsonl`` must not ask the lazy dataset
         for its schema: that executes the whole pipeline (and, with
@@ -920,6 +953,60 @@ class TestWaveCommit:
         assert len(part_dirs) == 4
         for part_dir in part_dirs:
             assert len(list(part_dir.glob("*.parquet"))) == 1, part_dir
+
+    def test_failed_wave_waits_for_its_other_tasks(self, ray_session, tmp_path):
+        """A wave whose one fragment fails raises only after its sibling's
+        task ended: the sibling's file is complete but uncommitted, and a
+        resume after the repair commits every partition once."""
+        from pdf_ocr_batch_ndrocr_lite_ray.sources.transcripts import write_transcripts
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+            completed_partitions,
+            part_id_for_path,
+            run_resumable_extraction,
+        )
+
+        # the healthy shard is the larger one, so its task is still running
+        # when the corrupt one fails
+        healthy, bad = tmp_path / "shard-0.parquet", tmp_path / "shard-1.parquet"
+        healthy_rows = write_transcripts(healthy, n_convs=60, seed=11)
+        bad.write_bytes(b"not a parquet file")
+        paths = [str(healthy), str(bad)]
+
+        out = tmp_path / "out"
+        with pytest.raises(Exception):
+            run_resumable_extraction(paths, out, wave_size=2)
+
+        sibling = out / "data" / f"part_id={part_id_for_path(healthy)}" / "part-0.parquet"
+        assert pq.ParquetFile(sibling).metadata.num_rows == healthy_rows
+        assert completed_partitions(out) == {}
+
+        write_transcripts(bad, n_convs=3, seed=12, first_conv=60)
+        report = run_resumable_extraction(paths, out, wave_size=2)
+        assert report["partitions_committed"] == 2
+        assert report["rows"] == healthy_rows + pq.ParquetFile(bad).metadata.num_rows
+        part_dirs = sorted((out / "data").glob("part_id=*"))
+        assert len(part_dirs) == 2
+        for part_dir in part_dirs:
+            assert len(list(part_dir.glob("*.parquet"))) == 1, part_dir
+
+    def test_waves_build_no_dataset(self, ray_session, tmp_path, monkeypatch):
+        """Waves run as plain Ray tasks: a checkpointed run commits every
+        partition with Ray Data unable to build a Dataset."""
+        import ray.data
+
+        from pdf_ocr_batch_ndrocr_lite_ray.state.checkpoint import (
+            completed_partitions,
+            run_resumable_extraction,
+        )
+
+        def no_dataset(self, *args, **kwargs):
+            raise AssertionError("the checkpointed path built a Ray Data Dataset")
+
+        paths = self._write_shards(tmp_path, n_shards=3)
+        monkeypatch.setattr(ray.data.Dataset, "__init__", no_dataset)
+        report = run_resumable_extraction(paths, tmp_path / "out", wave_size=2)
+        assert report["partitions_committed"] == 3
+        assert len(completed_partitions(tmp_path / "out")) == 3
 
     def test_wave_size_invariance(self, ray_session, tmp_path):
         import ray
