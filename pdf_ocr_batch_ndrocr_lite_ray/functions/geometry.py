@@ -19,41 +19,84 @@ reordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from collections.abc import Mapping  # typing.Mapping isinstance is ~4x slower
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 BBox = tuple[float, float, float, float]
 
+# A ``Box`` is a tuple: its five fields as given, then the values the layout
+# layer reads per box per probe, computed once at construction. These are
+# the positions of the derived values, for C-level sort keys (``itemgetter``).
+FX1, FY1, FX2, FY2, HEIGHT, WIDTH, CENTER_Y, CENTER_X, NEG_CENTER_X = range(5, 14)
 
-@dataclass(frozen=True)
-class Box:
-    """A positioned text span: the atomic unit of layout analysis."""
 
-    text: str
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+class Box(tuple):
+    """A positioned text span: the atomic unit of layout analysis.
 
-    # ``max(1.0, h)`` as a conditional: the clusterers read these per box per probe
-    @property
-    def height(self) -> float:
-        h = float(self.y2) - float(self.y1)
-        return h if h > 1.0 else 1.0
+    Built as ``Box(text, x1, y1, x2, y2)`` (positional or keyword), it
+    behaves like the frozen dataclass it replaces: the same ``repr`` with the
+    coordinates as given (ints stay ints), ``==`` and ``hash`` over the five
+    fields, no ordering, no assignment, and it pickles. The float corners,
+    ``height`` / ``width`` (each at least 1.0) and the centres are computed
+    once, here: a coordinate that ``float()`` rejects (a non-numeric string,
+    an int beyond the float range) raises at construction rather than at
+    the first read of an extent.
+    """
 
-    @property
-    def width(self) -> float:
-        w = float(self.x2) - float(self.x1)
-        return w if w > 1.0 else 1.0
+    __slots__ = ()
 
-    @property
-    def center_y(self) -> float:
-        return (float(self.y1) + float(self.y2)) / 2.0
+    def __new__(cls, text: str, x1: float, y1: float, x2: float, y2: float) -> "Box":
+        fx1, fy1, fx2, fy2 = float(x1), float(y1), float(x2), float(y2)
+        # ``max(1.0, h)`` as a conditional (a NaN extent becomes 1.0)
+        h = fy2 - fy1
+        w = fx2 - fx1
+        cx = (fx1 + fx2) / 2.0
+        return tuple.__new__(cls, (
+            text, x1, y1, x2, y2, fx1, fy1, fx2, fy2,
+            h if h > 1.0 else 1.0, w if w > 1.0 else 1.0, (fy1 + fy2) / 2.0, cx, -cx,
+        ))
 
-    @property
-    def center_x(self) -> float:
-        return (float(self.x1) + float(self.x2)) / 2.0
+    text = property(itemgetter(0))
+    x1 = property(itemgetter(1))
+    y1 = property(itemgetter(2))
+    x2 = property(itemgetter(3))
+    y2 = property(itemgetter(4))
+    height = property(itemgetter(HEIGHT))
+    width = property(itemgetter(WIDTH))
+    center_y = property(itemgetter(CENTER_Y))
+    center_x = property(itemgetter(CENTER_X))
+
+    def __repr__(self) -> str:
+        text, x1, y1, x2, y2 = self[:5]
+        return f"{type(self).__qualname__}(text={text!r}, x1={x1!r}, y1={y1!r}, x2={x2!r}, y2={y2!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self[:5] == other[:5]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __lt__(self, other: object) -> bool:  # unordered, like the dataclass
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self[:5]
 
 
 # Probing order is part of the contract: named bbox keys first, then the

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from time import monotonic
 from typing import Any, Optional
-
-_WS_RE = re.compile(r"\s+")
 
 # Unwanted half-width spaces that OCR tends to inject around CJK text,
 # digits, currency, brackets and bullets (reference rule list at
@@ -80,8 +79,13 @@ DEFAULT_IMAGE_DPI = 150.0
 
 
 def normalize_space(text: Optional[str]) -> str:
-    """Collapse all runs of whitespace to a single space and strip."""
-    return _WS_RE.sub(" ", text or "").strip()
+    """Collapse all runs of whitespace to a single space and strip.
+
+    ``str.split`` splits on exactly the characters ``re``'s ``\\s`` matches
+    in a ``str`` pattern (``str.isspace``); non-``str`` input raises
+    ``TypeError``.
+    """
+    return " ".join(str.split(text or ""))
 
 
 class RowBudgetExceeded(Exception):
@@ -103,20 +107,15 @@ def set_row_deadline(seconds: Optional[float]) -> None:
     if seconds is None:
         _ROW_DEADLINE = None
     else:
-        import time
-
-        _ROW_DEADLINE = time.monotonic() + seconds
+        _ROW_DEADLINE = monotonic() + seconds
 
 
 def check_row_budget() -> None:
     """Raise ``RowBudgetExceeded`` if the armed deadline has passed.
     Called once per uncached ``normalize_text`` and once per Japanese
     collapse — one ``time.monotonic`` per call, never per character."""
-    if _ROW_DEADLINE is not None:
-        import time
-
-        if time.monotonic() > _ROW_DEADLINE:
-            raise RowBudgetExceeded()
+    if _ROW_DEADLINE is not None and monotonic() > _ROW_DEADLINE:
+        raise RowBudgetExceeded()
 
 
 @lru_cache(maxsize=65536)
@@ -158,7 +157,7 @@ def collapse_spaces_japanese(text: Optional[str]) -> str:
         return s
     check_row_budget()
     s = _ASCII_PAIR_SPACE_RE.sub(_PLACEHOLDER, s)
-    s = _WS_RE.sub("", s)
+    s = "".join(s.split())
     s = s.replace(_PLACEHOLDER, " ")
     return _JP_COLLAPSE_RE.sub("", s).strip()
 

@@ -58,11 +58,9 @@ _GENERIC_TAGS = {"Word", "TextLine", "TextRegion", "TextBlock", "LINE"}
 
 def local_tag(tag: object) -> str:
     """Local element name with any ``{namespace}`` prefix stripped."""
-    if not isinstance(tag, str) or not tag:
+    if not isinstance(tag, str):
         return ""
-    if "}" in tag:
-        return tag.rsplit("}", 1)[1]
-    return tag
+    return tag.rpartition("}")[2]
 
 
 def element_text(elem: ET.Element) -> str:
@@ -114,12 +112,16 @@ def parse_xml_payload(text: str) -> tuple[list[Box], list[str]]:
         if cleaned:
             blocks.append(cleaned)
 
+    # each element's local tag, computed once for the three walks below
+    # (in document order, as ``root.iter()`` visits them)
+    tags = {elem: local_tag(elem.tag) for elem in root.iter()}
+
     # NDLOCR-lite fast path: PAGE elements with LINE children
-    pages = [e for e in root.iter() if local_tag(e.tag) == "PAGE"]
+    pages = [elem for elem, tag in tags.items() if tag == "PAGE"]
     if pages:
         for page_elem in pages:
             for line_elem in page_elem.iter():
-                if local_tag(line_elem.tag) != "LINE":
+                if tags[line_elem] != "LINE":
                     continue
                 attrib = line_elem.attrib or {}
                 raw = attrib.get("STRING") or attrib.get("string") or element_text(line_elem)
@@ -132,15 +134,14 @@ def parse_xml_payload(text: str) -> tuple[list[Box], list[str]]:
             return boxes, blocks
 
     # one-granularity generic path (ALTO / PAGE-XML)
-    available = {local_tag(e.tag) for e in root.iter()}
+    available = set(tags.values())
     selected: frozenset[str] = frozenset()
     for candidate in GRANULARITY_PRIORITY:
         if available & candidate:
             selected = candidate
             break
 
-    for elem in root.iter():
-        tag = local_tag(elem.tag)
+    for elem, tag in tags.items():
         if selected and tag not in selected:
             continue
         attrib = elem.attrib or {}

@@ -225,6 +225,82 @@ def test_one_pass_rules_match_fixpoint_cascades_property(s):
 
 
 # ---------------------------------------------------------------------------
+# In-repo oracle: the ``re.compile(r"\s+")`` whitespace collapse
+# ---------------------------------------------------------------------------
+
+
+def _oracle_normalize_space(text):
+    return re.sub(r"\s+", " ", text or "").strip()
+
+
+_ALL_CHARS = "".join(map(chr, range(0x110000)))
+#: where ``\s``, ``str.split`` and ``str.strip`` would part ways if they
+#: used different predicates: the ASCII separators, NEL, NBSP, the line and
+#: paragraph separators and the ideographic space, plus two look-alikes
+#: that are not whitespace (ZWSP, BOM)
+_WS_EDGE = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000\u200b\ufeff \t\n"
+
+
+class TestWhitespaceCollapseOracle:
+    """``normalize_space`` and the Japanese collapse join ``str.split``
+    pieces; the oracle substitutes ``\\s+`` as they used to."""
+
+    def test_every_code_point_alone(self):
+        assert [tn.normalize_space(c) for c in _ALL_CHARS] == [
+            _oracle_normalize_space(c) for c in _ALL_CHARS
+        ]
+
+    def test_every_code_point_between_letters(self):
+        for s in ("a".join(_ALL_CHARS), "a" + "ab".join(c + c for c in _ALL_CHARS) + "b"):
+            assert tn.normalize_space(s) == _oracle_normalize_space(s)
+
+    def test_japanese_collapse_every_code_point_between_letters(self):
+        """Each code point between Japanese letters, and between ASCII
+        letters on a Japanese line (the spaces the placeholder keeps)."""
+        for i in range(0, len(_ALL_CHARS), 8192):
+            chunk = _ALL_CHARS[i : i + 8192]
+            for s in ("日" + "日".join(chunk) + "日", "日a" + "a".join(chunk) + "a"):
+                assert tn.collapse_spaces_japanese(s) == _oracle_collapse_spaces_japanese(s), i
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(2029)
+        pool = _WS_EDGE + "ab1P日本頁（）、●\ufff0"
+        for _ in range(20_000):
+            s = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 24)))
+            assert tn.normalize_space(s) == _oracle_normalize_space(s), repr(s)
+            assert tn.collapse_spaces_japanese(s) == _oracle_collapse_spaces_japanese(s), repr(s)
+
+    def test_none_and_empty(self):
+        for s in (None, ""):
+            assert tn.normalize_space(s) == _oracle_normalize_space(s) == ""
+            assert tn.collapse_spaces_japanese(s) == ""
+
+    @pytest.mark.parametrize("value", [5, 1.5, b"a b", bytearray(b"a"), ["a b"], ("a",)])
+    def test_non_str_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _oracle_normalize_space(value)
+        with pytest.raises(TypeError):
+            tn.normalize_space(value)
+        with pytest.raises(TypeError):
+            tn.normalize_text(value)
+
+    def test_sql_twin_names_the_same_whitespace(self):
+        """The DuckDB rewrites spell ``\\s`` on raw text as an explicit
+        class, which must name exactly the characters the kernel splits on."""
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.extraction_queries import _UNICODE_WS
+
+        assert len(_UNICODE_WS) == len(set(_UNICODE_WS))
+        assert set(_UNICODE_WS) == {c for c in _ALL_CHARS if c.isspace()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_WS_EDGE + "aZ9日本語（。●"), max_size=40))
+def test_whitespace_collapse_matches_regex_form(s):
+    assert tn.normalize_space(s) == _oracle_normalize_space(s)
+    assert tn.collapse_spaces_japanese(s) == _oracle_collapse_spaces_japanese(s)
+
+
+# ---------------------------------------------------------------------------
 # Parity fuzz against the reference implementation
 # ---------------------------------------------------------------------------
 
