@@ -19,7 +19,6 @@ reordered.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from collections.abc import Mapping  # typing.Mapping isinstance is ~4x slower
 from operator import itemgetter
 from typing import Any, Iterable, Optional
@@ -28,7 +27,8 @@ BBox = tuple[float, float, float, float]
 
 # A ``Box`` is a tuple: its five fields as given, then the values the layout
 # layer reads per box per probe, computed once at construction. These are
-# the positions of the derived values, for C-level sort keys (``itemgetter``).
+# the positions of the derived values, for C-level sort keys (``itemgetter``);
+# ``layout.py`` is the one module that indexes a ``Box``.
 FX1, FY1, FX2, FY2, HEIGHT, WIDTH, CENTER_Y, CENTER_X, NEG_CENTER_X = range(5, 14)
 
 
@@ -38,11 +38,17 @@ class Box(tuple):
     Built as ``Box(text, x1, y1, x2, y2)`` (positional or keyword), it
     behaves like the frozen dataclass it replaces: the same ``repr`` with the
     coordinates as given (ints stay ints), ``==`` and ``hash`` over the five
-    fields, no ordering, no assignment, and it pickles. The float corners,
-    ``height`` / ``width`` (each at least 1.0) and the centres are computed
-    once, here: a coordinate that ``float()`` rejects (a non-numeric string,
-    an int beyond the float range) raises at construction rather than at
-    the first read of an extent.
+    fields, no ordering, and it pickles. Assignment raises ``AttributeError``
+    (the dataclass raised its subclass ``FrozenInstanceError``). The float
+    corners, ``height`` / ``width`` (each at least 1.0) and the centres are
+    computed once, here: a coordinate that ``float()`` rejects (a
+    non-numeric string, an int beyond the float range) raises at
+    construction rather than at the first read of an extent.
+
+    Being a tuple, it also has ``len`` 14, indexing and iteration; use the
+    named fields. A tuple is built in about 0.55 µs, a frozen dataclass that
+    stores the same values in about 1.0 µs and a ``__slots__`` class in
+    about 2 µs; the dataclass made the pdfish kernel about 4% slower.
     """
 
     __slots__ = ()
@@ -88,12 +94,6 @@ class Box(tuple):
         return NotImplemented
 
     __le__ = __gt__ = __ge__ = __lt__
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
         return type(self), self[:5]

@@ -190,23 +190,7 @@ def dedup_boxes(boxes: list[Box]) -> list[Box]:
 def _dedup_boxes(boxes: list[Box], texts: list[str]) -> list[Box]:
     """``dedup_boxes`` given each box's normalized text."""
     fields = [b[:5] for b in boxes]  # (text, x1, y1, x2, y2) as given
-    # ``round(v, 1)`` costs about 0.3 µs and the boxes of one line share y1
-    # and height, so each distinct value is rounded once (equal values round
-    # to equal values; a NaN is found again only as the same object)
-    tenths: dict = {}
-    keys = []
-    for text, x1, y1, x2, y2 in fields:
-        ry = tenths.get(y1)
-        if ry is None:
-            ry = tenths[y1] = round(y1, 1)
-        rx = tenths.get(x1)
-        if rx is None:
-            rx = tenths[x1] = round(x1, 1)
-        h = y2 - y1
-        rh = tenths.get(h)
-        if rh is None:
-            rh = tenths[h] = round(h, 1)
-        keys.append((ry, rx, rh, text))
+    keys = [(round(y1, 1), round(x1, 1), round(y2 - y1, 1), text) for text, x1, y1, x2, y2 in fields]
     deduped: list[Box] = []
     seen: set[tuple[str, int, int, int, int]] = set()
     for i in sorted(range(len(boxes)), key=keys.__getitem__):
@@ -220,6 +204,13 @@ def _dedup_boxes(boxes: list[Box], texts: list[str]) -> list[Box]:
         seen.add(key)
         deduped.append(boxes[i] if text == raw else Box(text, x1, y1, x2, y2))
     return deduped
+
+
+def dedup_normalized_boxes(boxes: list[Box]) -> list[Box]:
+    """``dedup_boxes`` over boxes that carry normalized text, as every
+    producer (``walk_payload``, ``parse_xml_payload``, the paged parse)
+    builds them: the dedup keys on each box's text as is."""
+    return _dedup_boxes(boxes, [b.text for b in boxes])
 
 
 def dedup_blocks(blocks: list[str]) -> list[str]:
@@ -283,8 +274,6 @@ def assemble_layout_text(boxes: list[Box], blocks: list[str]) -> tuple[str, list
 def dedup_and_assemble(boxes: list[Box], blocks: list[str]) -> tuple[str, list[tuple[int, int, str]]]:
     """``assemble_layout_text`` over the deduped boxes and blocks of one turn.
 
-    The boxes carry normalized text, as every producer (``walk_payload``,
-    ``parse_xml_payload``, the paged parse) builds them, so the dedup keys on
-    each box's text as is.
+    The boxes carry normalized text (see ``dedup_normalized_boxes``).
     """
-    return assemble_layout_text(_dedup_boxes(boxes, [b.text for b in boxes]), dedup_blocks(blocks))
+    return assemble_layout_text(dedup_normalized_boxes(boxes), dedup_blocks(blocks))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..functions.geometry import Box, bbox_from_mapping, text_from_mapping
-from ..functions.layout import _dedup_boxes, assemble_layout_text
+from ..functions.layout import assemble_layout_text, dedup_normalized_boxes
 from ..functions.textnorm import guess_page_index, normalize_text
 from .payload import decode_payload, walk_payload
 
@@ -195,9 +195,8 @@ def page_texts(result: dict[int, PageOcr]) -> list[str]:
     """
     texts: list[str] = []
     for idx in sorted(result):
-        tokens = result[idx].tokens
         blocks = [b for b in result[idx].text_blocks if (b or "").strip()]
-        texts.append(assemble_layout_text(_dedup_boxes(tokens, [b.text for b in tokens]), blocks)[0])
+        texts.append(assemble_layout_text(dedup_normalized_boxes(result[idx].tokens), blocks)[0])
     return texts
 
 

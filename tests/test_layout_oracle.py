@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 
 import pytest
@@ -382,12 +382,12 @@ def test_box_construction_and_immutability():
     assert kw == geo.Box("t", 1, 2.5, 3, 4)
     assert repr(kw) == repr(Box("t", 1, 2.5, 3, 4)) == "Box(text='t', x1=1, y1=2.5, x2=3, y2=4)"
     assert kw != ("t", 1, 2.5, 3, 4) and Box("t", 1, 2.5, 3, 4) != ("t", 1, 2.5, 3, 4)
-    for box in (kw, Box("t", 1, 2.5, 3, 4)):
-        with pytest.raises(FrozenInstanceError):
+    for box in (kw, Box("t", 1, 2.5, 3, 4)):  # FrozenInstanceError is an AttributeError
+        with pytest.raises(AttributeError):
             box.x1 = 9
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             box.extra = 9
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del box.text
         with pytest.raises(TypeError):
             box < box  # noqa: B015
