@@ -339,227 +339,6 @@ SELECT '{table}' AS table_name, '{key}' AS key_col, * FROM (
 register("join_skew_audit", join_skew_audit, sql=_skew_audit_sql())
 
 
-#: per-(part, supplier) revenue-cents guard: values past this could overflow
-#: the int64 square in the HHI numerator (3.03e9² ≈ int64 max) — fail loud,
-#: mirroring the Gram fold's overflow pre-check
-_HHI_MAX_CENTS = 3_000_000_000
-
-
-def part_supplier_hhi(sf_dir: str) -> pd.DataFrame:
-    """(p_brand, n_parts, avg_hhi_e6, single_supplier_e6): per-brand
-    supplier concentration — for every part, the Herfindahl–Hirschman
-    index of its suppliers' revenue shares (1e6 = single-sourced), then
-    the brand-level mean HHI and the share of single-sourced parts. The
-    supply-chain-risk readout ("brand X is 90% single-sourced").
-
-    Exactness contract: revenue folds to integer cents per
-    (part, supplier); HHI_e6 = floor(Σrev² / (Σrev)² · 1e6 + 0.5) with
-    both sums exact int64 under a loud ≤ 3e9-cent overflow guard (the
-    Gram-fold discipline); ``avg_hhi_e6`` = floor(Σhhi_e6/n + 0.5) and
-    ``single_supplier_e6`` = floor(n_single/n · 1e6 + 0.5), each one
-    IEEE divide. Single-sourced means exactly ONE distinct supplier
-    (not an HHI threshold). Null part/supplier/price rows are dropped
-    (no part identity); parts missing from the dimension table group
-    under '(unmatched)' — referential noise is shown, not dropped.
-
-    Scale shape: in-block (part, supp, rev) pre-aggregates → ONE part-
-    keyed hash co-partition (each part's suppliers land together; the
-    per-part HHI never leaves its partition); the part→brand map
-    broadcasts once via ``ray.put`` under the MAX_BROADCAST_KEYS
-    ceiling; brand partials land in the bounded enum fold.
-    """
-    import ray as ray_core
-
-    import pyarrow.parquet as _pq
-
-    from .analytics import MAX_BROADCAST_KEYS
-    from .exchange import broadcast_lookup, hash_partitioned, probe_lookup
-
-    cols = {
-        "p_brand": "object", "n_parts": "int64",
-        "avg_hhi_e6": "int64", "single_supplier_e6": "int64",
-    }
-
-    n_parts_dim = _pq.ParquetFile(table_path(sf_dir, "part")).metadata.num_rows
-    if n_parts_dim > MAX_BROADCAST_KEYS:
-        raise ValueError(
-            f"part_supplier_hhi: part has {n_parts_dim:,} rows, past the "
-            f"broadcast ceiling ({MAX_BROADCAST_KEYS:,}); co-partition the "
-            "per-part HHI rows and part on partkey instead"
-        )
-    part = _pq.read_table(
-        table_path(sf_dir, "part"), columns=["p_partkey", "p_brand"]
-    )
-    brands = sorted(set(part["p_brand"].to_pylist()))
-    bid = {b: i for i, b in enumerate(brands)}
-    UNMATCHED = len(brands)
-    keys, vals = broadcast_lookup(
-        part["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64),
-        np.array([bid[b] for b in part["p_brand"].to_pylist()], dtype=np.int64),
-    )
-    ref = ray_core.put((keys, vals))
-
-    def line_partial(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(
-            pc.and_(
-                pc.is_valid(batch["l_partkey"]), pc.is_valid(batch["l_suppkey"])
-            ),
-            pc.is_valid(batch["l_extendedprice"]),
-        )
-        t = batch.filter(keep)
-        cents = pc.cast(
-            pc.round(
-                pc.multiply(t["l_extendedprice"], pa.scalar(100.0)),
-                ndigits=0,
-                round_mode="half_towards_infinity",
-            ),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"part": t["l_partkey"], "supp": t["l_suppkey"], "rev": cents})
-            .group_by(["part", "supp"])
-            .aggregate([("rev", "sum")])
-        )
-        return g.rename_columns(["part", "supp", "rev"])
-
-    def per_part_fold(df: pd.DataFrame) -> pd.DataFrame:
-        out_cols = {
-            "part": pd.Series(dtype="int64"), "hhi_e6": pd.Series(dtype="int64"),
-            "single": pd.Series(dtype="int64"),
-        }
-        if len(df) == 0:
-            return pd.DataFrame(out_cols)
-        g = (
-            df.groupby(["part", "supp"], sort=False)["rev"]
-            .sum()
-            .reset_index()
-        )
-        rev = g["rev"].to_numpy(dtype=np.int64)
-        per = g.groupby("part", sort=False).agg(
-            tot=("rev", "sum"), n_supp=("rev", "size")
-        )
-        # Σrev_i² ≤ (Σ|rev_i|)², so guarding the per-part ABSOLUTE total
-        # bounds both the numerator sum-of-squares and the denominator
-        # square inside int64 (3e9² < 2^63)
-        tot_abs = pd.Series(np.abs(rev), index=g["part"]).groupby(level=0).sum()
-        mx = int(tot_abs.max())
-        if mx > _HHI_MAX_CENTS:
-            raise ValueError(
-                f"part_supplier_hhi: per-part revenue magnitude {mx:,} cents "
-                f"exceeds the int64-square guard ({_HHI_MAX_CENTS:,}); "
-                "switch the HHI numerator to a Python-int fold"
-            )
-        num = pd.Series(rev * rev, index=g["part"]).groupby(level=0).sum()
-        per["num"] = num
-        per = per[per["tot"] != 0]
-        if len(per) == 0:
-            return pd.DataFrame(out_cols)
-        den = per["tot"].to_numpy(dtype=np.int64)
-        hhi = np.floor(
-            per["num"].to_numpy(dtype=np.int64).astype(np.float64)
-            / (den.astype(np.float64) * den.astype(np.float64))
-            * 1e6
-            + 0.5
-        ).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "part": per.index.to_numpy(dtype=np.int64),
-                "hhi_e6": hhi,
-                "single": (per["n_supp"].to_numpy() == 1).astype(np.int64),
-            }
-        )
-
-    per_part = hash_partitioned(
-        ray.data.read_parquet(
-            table_path(sf_dir, "lineitem"),
-            columns=["l_partkey", "l_suppkey", "l_extendedprice"],
-        ).map_batches(line_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "part",
-        per_part_fold,
-    )
-
-    def brand_partial(batch: pa.Table) -> pa.Table:
-        k, v = ray_core.get(ref)
-        pk = batch["part"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = probe_lookup(k, v, pk, missing=UNMATCHED)
-        n_b = np.bincount(b, minlength=UNMATCHED + 1).astype(np.int64)
-        h_b = np.bincount(
-            b, weights=batch["hhi_e6"].to_numpy(zero_copy_only=False),
-            minlength=UNMATCHED + 1,
-        ).astype(np.int64)  # exact: hhi_e6 ≤ 1e6 ⇒ sums < 2^53
-        s_b = np.bincount(
-            b, weights=batch["single"].to_numpy(zero_copy_only=False),
-            minlength=UNMATCHED + 1,
-        ).astype(np.int64)
-        nz = np.flatnonzero(n_b)
-        return pa.table(
-            {
-                "b": pa.array(nz.astype(np.int64)),
-                "n": pa.array(n_b[nz]),
-                "h": pa.array(h_b[nz]),
-                "s": pa.array(s_b[nz]),
-            }
-        )
-
-    fold = enum_group_sum(
-        per_part.map_batches(brand_partial, batch_format="pyarrow"),
-        ["b"],
-        ["n", "h", "s"],
-    )
-    if len(fold) == 0:
-        return _empty(cols)
-    names = brands + ["(unmatched)"]
-    rows = []
-    for _, r in fold.sort_values("b").iterrows():
-        n = int(r["n"])
-        rows.append(
-            {
-                "p_brand": names[int(r["b"])],
-                "n_parts": n,
-                "avg_hhi_e6": int(math.floor(float(int(r["h"])) / float(n) + 0.5)),
-                "single_supplier_e6": int(
-                    math.floor(float(int(r["s"])) / float(n) * 1e6 + 0.5)
-                ),
-            }
-        )
-    return pd.DataFrame(rows).astype(cols)
-
-
-PART_SUPPLIER_HHI_SQL = """
-WITH rev AS (
-  SELECT l_partkey AS part, l_suppkey AS supp,
-         sum(CAST(round(l_extendedprice * 100.0, 0) AS BIGINT)) AS r
-  FROM lineitem
-  WHERE l_partkey IS NOT NULL AND l_suppkey IS NOT NULL
-    AND l_extendedprice IS NOT NULL
-  GROUP BY 1, 2
-),
-per AS (
-  SELECT part,
-         CAST(floor(CAST(sum(r * r) AS DOUBLE)
-              / (CAST(sum(r) AS DOUBLE) * CAST(sum(r) AS DOUBLE))
-              * 1e6 + 0.5) AS BIGINT) AS hhi_e6,
-         CASE WHEN count(*) = 1 THEN 1 ELSE 0 END AS single
-  FROM rev GROUP BY part
-  HAVING sum(r) != 0
-),
-lab AS (
-  SELECT coalesce(p.p_brand, '(unmatched)') AS p_brand, per.hhi_e6, per.single
-  FROM per LEFT JOIN part p ON p.p_partkey = per.part
-)
-SELECT p_brand,
-       CAST(count(*) AS BIGINT) AS n_parts,
-       CAST(floor(CAST(sum(hhi_e6) AS DOUBLE)
-            / CAST(count(*) AS DOUBLE) + 0.5) AS BIGINT) AS avg_hhi_e6,
-       CAST(floor(CAST(sum(single) AS DOUBLE)
-            / CAST(count(*) AS DOUBLE) * 1e6 + 0.5) AS BIGINT)
-         AS single_supplier_e6
-FROM lab GROUP BY p_brand
-"""
-
-register("part_supplier_hhi", part_supplier_hhi, sql=PART_SUPPLIER_HHI_SQL)
-
-
 def lineitem_quantity_kruskal(sf_dir: str) -> pd.DataFrame:
     """(l_returnflag, n, rank_sum_x2, h_contrib_e6): Kruskal–Wallis
     rank test of l_quantity across return-flag groups with EXACT tie
@@ -1417,7 +1196,7 @@ def events_dow_seasonality(sf_dir: str) -> pd.DataFrame:
     the uniform week — the weekly-seasonality strength gate (capacity
     planning reads the profile; near-zero TVD says "don't bother with
     weekday-aware sampling"). Complements the hour-of-day family
-    (events_hourly, type×hour chi²/MI) on the week axis.
+    (type×hour chi²/MI) on the week axis.
 
     Exactness contract: dow = (epoch_day + 3) mod 7 computed from the
     floored integer epoch day with a non-negative modulo on BOTH engines

@@ -39,9 +39,9 @@ def enum_group_sum(ds: "ray.data.Dataset", keys: list[str], sums: list[str]):
 
 #: distinct-group ceiling for the driver-side enum fold — far above any enum
 #: (largest real user: 24 hourly buckets × types), far below anything that
-#: could balloon driver memory. Mirrors the MAX_BROADCAST_KEYS discipline:
-#: a high-cardinality caller fails loud with the reroute named, instead of
-#: silently accumulating an unbounded merged frame.
+#: could balloon driver memory. A high-cardinality caller fails loud with
+#: the reroute named, instead of silently accumulating an unbounded merged
+#: frame.
 MAX_ENUM_GROUPS = 100_000
 
 
@@ -145,30 +145,6 @@ def crc32_codes(col: "pa.Array | pa.ChunkedArray"):
     )
     idx = pc.fill_null(enc.indices, 0).to_numpy(zero_copy_only=False)
     return uniq[idx]
-
-
-def broadcast_lookup(keys, values):
-    """(sorted_keys, sorted_values) ready for ``ray.put`` + ``probe_lookup``
-    — the broadcast-join small side as two flat numpy arrays."""
-    import numpy as np
-
-    order = np.argsort(keys)
-    return keys[order], values[order]
-
-
-def probe_lookup(sorted_keys, sorted_values, probe, missing=-1):
-    """Vectorized hash-join probe via binary search: value for each probe
-    key, ``missing`` where absent. Safe on an EMPTY small side (returns all
-    ``missing``) — the guard every hand-rolled copy of this pattern forgot
-    at least once."""
-    import numpy as np
-
-    if len(sorted_keys) == 0:
-        return np.full(len(probe), missing, dtype=sorted_values.dtype if len(sorted_values) else np.int64)
-    pos = np.searchsorted(sorted_keys, probe)
-    pos = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos] == probe
-    return np.where(hit, sorted_values[pos], missing)
 
 
 def hash_partitioned(
@@ -306,21 +282,6 @@ def round6(v):
     import numpy as np
 
     return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
-
-
-def quantile_cont_duckdb(sorted_vals, q: float) -> float:
-    """DuckDB's own ``quantile_cont`` interpolation shape
-    ``v[FRN]·(CRN−RN) + v[CRN]·(RN−FRN)`` — NOT the algebraically-equal
-    ``a + (b−a)·f``, which rounds differently in the last ulp and flips
-    the 6th decimal on ~0.4% of random inputs (pinned by the
-    interpolation fuzz in tests). THE one copy of the quantile contract."""
-    import numpy as np
-
-    rn = (len(sorted_vals) - 1) * q
-    frn, crn = int(np.floor(rn)), int(np.ceil(rn))
-    if crn == frn:
-        return float(sorted_vals[frn])
-    return float(sorted_vals[frn] * (crn - rn) + sorted_vals[crn] * (rn - frn))
 
 
 def footer_min_max(path: str, column: str):

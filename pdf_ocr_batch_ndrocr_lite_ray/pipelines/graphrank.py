@@ -31,10 +31,9 @@ Scale shape — two paths, same numbers (a test pins them equal):
 - **partitioned** (past the cap): nothing node-sized on the driver —
   the rank vector is itself a Dataset, and each iteration is two
   ``hash_partitioned`` exchanges (rank⋈edges by src → contrib partials;
-  partials⋈state by dst → new ranks), the same aligned-join shape as
-  ``analytics._customers_without_orders_shuffle``. The degree fold that
-  would have materialized the node set is abandoned the moment the cap
-  is crossed, mirroring ``customers_without_orders``' auto-switch.
+  partials⋈state by dst → new ranks): two tables co-partitioned on one
+  key and joined inside each partition. The degree fold that would have
+  materialized the node set is abandoned the moment the cap is crossed.
 """
 
 from __future__ import annotations

@@ -156,8 +156,8 @@ class TestEmptyCorpus:
 
 
 class TestEmptyEvents:
-    """Grouped-count, window, session, quantile and distinct-user sketch
-    ops must come back empty — not raise — on a zero-row events table."""
+    """Quantile and distinct-user sketch ops must come back empty — not
+    raise — on a zero-row events table."""
 
     @pytest.fixture(scope="class")
     def empty_dir(self, tmp_path_factory):
@@ -181,23 +181,15 @@ class TestEmptyEvents:
     @pytest.mark.parametrize(
         "name",
         [
-            "events_by_type",
-            "events_hourly",
-            "user_sessions",
             "events_distinct_users",
             "events_quantiles_by_type",
-            "events_winsorized",
             "events_distinct_users_kmv",
             "events_distinct_users_hll_by_type",
             "events_sliding_distinct_hll",
         ],
     )
     def test_empty_events_yield_empty_output(self, ray_session, empty_dir, name):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import (  # noqa: F401
-            analytics,
-            sketches,
-            windows,
-        )
+        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import sketches  # noqa: F401
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
 
         res = queryset.QUERIES[name](empty_dir)
@@ -925,29 +917,6 @@ class TestSimilarity:
         assert read_dirs < set(all_parts)  # strictly fewer dirs than on disk
 
 
-class TestAnalytics:
-    def test_events_by_type_matches_oracle(self, ray_session, oracle_con):
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-
-        df = _check_against_oracle("events_by_type", oracle_con)
-        assert len(df) > 0
-
-    def test_orders_by_nation_matches_oracle(self, ray_session, oracle_con):
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-
-        _check_against_oracle("orders_by_nation", oracle_con)
-
-    def test_lineitem_top_parts_matches_oracle(self, ray_session, oracle_con):
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-
-        df = _check_against_oracle("lineitem_top_parts", oracle_con)
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import TOP_PARTS_K
-
-        assert len(df) == TOP_PARTS_K
-        # rank 1 has the max revenue
-        assert df.loc[df["rank"].idxmin(), "revenue_cents"] == df.revenue_cents.max()
-
-
 class TestExtensionSurface:
     def test_extractor_registry_routes_custom_kind(self):
         from pdf_ocr_batch_ndrocr_lite_ray.stages import extract as ex
@@ -1149,39 +1118,6 @@ class TestConversationReassembly:
         assert salted.n_turns.max() >= 400
 
 
-class TestWindows:
-    def test_events_hourly_matches_oracle(self, ray_session, oracle_con):
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows  # noqa: F401
-
-        df = _check_against_oracle("events_hourly", oracle_con)
-        assert df.n_events.sum() > 0
-
-    def test_user_sessions_matches_oracle(self, ray_session, oracle_con):
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows  # noqa: F401
-
-        df = _check_against_oracle("user_sessions", oracle_con)
-        assert (df.longest_session_events <= df.n_events).all()
-        assert (df.n_sessions >= 1).all()
-
-    def test_sessionize_gap_rule(self):
-        import pandas as pd
-        import numpy as np
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows import (
-            SESSION_GAP_SEC,
-            _sessionize_partition,
-        )
-
-        base = np.datetime64("2024-01-01T00:00:00", "us")
-        gap = np.timedelta64(SESSION_GAP_SEC * 1_000_000 + 1, "us")
-        within = np.timedelta64(60 * 1_000_000, "us")
-        ts = [base, base + within, base + within + gap, base + within + gap + within]
-        df = pd.DataFrame({"user_id": [7] * 4, "ts": pd.Series(ts)})
-        out = _sessionize_partition(df)
-        assert out.iloc[0].to_dict() == {
-            "user_id": 7, "n_sessions": 2, "n_events": 4, "longest_session_events": 2,
-        }
-
-
 class TestWinnowing:
     def test_rolling_hash_matches_direct(self):
         from pdf_ocr_batch_ndrocr_lite_ray.functions.textstats import (
@@ -1228,19 +1164,6 @@ class TestWinnowing:
         # at most k terms per doc, ranked by score then term
         assert df.groupby("doc_id").size().max() <= ta.TFIDF_TOPK
         assert (df.tf >= 1).all()
-
-
-class TestGroupedOps:
-    def test_top_customers_per_nation_matches_oracle(self, ray_session, oracle_con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import analytics as an
-
-        df = _check_against_oracle("top_customers_per_nation", oracle_con)
-        assert df.groupby("c_nationkey").size().max() <= an.TOP_CUST_K
-        # ranks are 1..k and descending by total within each nation
-        for _, g in df.groupby("c_nationkey"):
-            g = g.sort_values("rank")
-            assert g["rank"].tolist() == list(range(1, len(g) + 1))
-            assert g.total_cents.is_monotonic_decreasing or len(g) == 1
 
 
 class TestMediaResize:
@@ -1535,10 +1458,9 @@ class TestAdversarialCorpusParity:
 
 
 class TestAdversarialEventsParity:
-    """Grouped-count, window, session, quantile and distinct-user sketch
-    oracles on a nasty events table: duplicate timestamps within a user,
-    negative values, exact .5 scaled-rounding boundaries, session-gap
-    edges, single-event users."""
+    """Quantile and distinct-user sketch oracles on a nasty events table:
+    duplicate timestamps within a user, negative values, exact .5
+    scaled-rounding boundaries, single-event users."""
 
     @pytest.fixture(scope="class")
     def nasty_events_dir(self, tmp_path_factory):
@@ -1599,12 +1521,8 @@ class TestAdversarialEventsParity:
     @pytest.mark.parametrize(
         "name",
         [
-            "user_sessions",
-            "events_hourly",
-            "events_by_type",
             "events_distinct_users",
             "events_quantiles_by_type",
-            "events_winsorized",
             "events_distinct_users_kmv",
             "events_distinct_users_hll",
             "events_distinct_users_hll_by_type",
@@ -1613,9 +1531,7 @@ class TestAdversarialEventsParity:
     def test_matches_oracle_on_nasty_events(self, ray_session, nasty_events_dir, name):
         import duckdb
 
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
         import pdf_ocr_batch_ndrocr_lite_ray.pipelines.sketches  # noqa: F401
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows  # noqa: F401
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
 
         con = duckdb.connect()
@@ -1736,162 +1652,6 @@ class TestAdversarialEmbeddingsParity:
         gold = con.execute(queryset.ORACLE_SQL[name]).df()
         assert len(ours) == len(gold), f"{name}: rows {len(ours)} != {len(gold)}"
         assert _value_hash(ours) == _value_hash(gold), f"{name}: value mismatch"
-
-
-class TestAdversarialRelationalParity:
-    """Money-rounding and join-edge oracles on a nasty relational corpus:
-    exact half-cent totals, a customer with no orders, orders whose
-    custkey has no customer row, and a lineitem at an exact .5-cent
-    revenue boundary."""
-
-    @pytest.fixture(scope="class")
-    def nasty_rel_dir(self, tmp_path_factory):
-        import datetime as dt
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        d = tmp_path_factory.mktemp("nasty_rel")
-        pq.write_table(
-            pa.table(
-                {
-                    "c_custkey": pa.array([1, 2, 3, 4], type=pa.int64()),
-                    "c_nationkey": pa.array([10, 10, 20, 30], type=pa.int32()),
-                    "c_mktsegment": pa.array(
-                        ["BUILDING", "MACHINERY", "BUILDING", "AUTOMOBILE"]
-                    ),
-                }
-            ),
-            d / "customer.parquet",
-        )
-        # order 103 has NO matching customer; 100.005 is an exact half-cent
-        pq.write_table(
-            pa.table(
-                {
-                    "o_orderkey": pa.array([100, 101, 102, 103, 104], type=pa.int64()),
-                    "o_custkey": pa.array([1, 1, 2, 99, 3], type=pa.int64()),
-                    "o_totalprice": pa.array(
-                        [100.005, 250_000.0, 399_999.995, 50.0, 500_000.0]
-                    ),
-                    "o_orderpriority": pa.array(
-                        ["1-URGENT", "5-LOW", "1-URGENT", "5-LOW", "3-MEDIUM"]
-                    ),
-                    "o_orderstatus": pa.array(["O", "O", "F", "P", "F"]),
-                    # orders 100/102/103 inside the Q5 window; 104 outside
-                    "o_orderdate": pa.array(
-                        [
-                            dt.datetime(1996, 6, 1),
-                            dt.datetime(1996, 6, 2),
-                            dt.datetime(1996, 6, 3),
-                            dt.datetime(1996, 6, 4),
-                            dt.datetime(1999, 1, 1),
-                        ],
-                        type=pa.timestamp("us"),
-                    ),
-                }
-            ),
-            d / "orders.parquet",
-        )
-        # revenue 10.005 * (1 - 0.0) * 100 = 1000.5 → exact .5-cent boundary
-        pq.write_table(
-            pa.table(
-                {
-                    "l_partkey": pa.array([7, 7, 8, 9, 9], type=pa.int64()),
-                    "l_extendedprice": pa.array([10.005, 20.0, 5.125, 5.125, 7.0]),
-                    "l_discount": pa.array([0.0, 0.5, 0.0, 0.0, 0.0]),
-                    "l_quantity": pa.array([1.005, 2.0, 3.5, 1.0, 1.0]),
-                    "l_tax": pa.array([0.05, 0.0, 0.08, 0.0, 0.0]),
-                    "l_returnflag": pa.array(["N", "R", "N", "N", "N"]),
-                    "l_linestatus": pa.array(["O", "F", "O", "O", "O"]),
-                    "l_shipdate": pa.array(
-                        [dt.datetime(1997, 1, 1)] * 5, type=pa.timestamp("us")
-                    ),
-                    # Q5 edges: line 1 matches (cust nation == supp nation,
-                    # half-cent revenue 1000.5), line 2 wrong supp nation,
-                    # line 4 rides the orphan order 103 (no customer row),
-                    # line 5 probes a MISSING supplier key (9)
-                    "l_orderkey": pa.array(
-                        [100, 100, 102, 103, 100], type=pa.int64()
-                    ),
-                    "l_suppkey": pa.array([1, 2, 1, 1, 9], type=pa.int64()),
-                }
-            ),
-            d / "lineitem.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "s_suppkey": pa.array([1, 2, 3], type=pa.int64()),
-                    "s_nationkey": pa.array([10, 20, 30], type=pa.int32()),
-                }
-            ),
-            d / "supplier.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "n_nationkey": pa.array([10, 20, 30], type=pa.int32()),
-                    "n_name": pa.array(["JAPAN", "CHINA", "FRANCE"]),
-                    "n_regionkey": pa.array([0, 0, 1], type=pa.int32()),
-                }
-            ),
-            d / "nation.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "r_regionkey": pa.array([0, 1], type=pa.int32()),
-                    "r_name": pa.array(["ASIA", "EUROPE"]),
-                }
-            ),
-            d / "region.parquet",
-        )
-        return str(d)
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "orders_by_nation",
-            "orders_by_nation_shuffle",
-            "top_customers_per_nation",
-            "customers_without_orders",
-            "lineitem_top_parts",
-            "orders_in_segment",
-            "customer_order_full_outer",
-            "tpch_q5_local_volume",
-        ],
-    )
-    def test_matches_oracle_on_nasty_relational(self, ray_session, nasty_rel_dir, name):
-        import duckdb
-
-        import pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics  # noqa: F401
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import queryset
-
-        con = duckdb.connect()
-        for t in ("customer", "orders", "lineitem", "supplier", "nation", "region"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{nasty_rel_dir}/{t}.parquet')"
-            )
-        ours = queryset.QUERIES[name](nasty_rel_dir).to_pandas()
-        gold = con.execute(queryset.ORACLE_SQL[name]).df()
-        assert len(ours) == len(gold), f"{name}: rows {len(ours)} != {len(gold)}"
-        assert _value_hash(ours) == _value_hash(gold), f"{name}: value mismatch"
-
-    def test_anti_join_reroutes_past_broadcast_cap(self, ray_session, nasty_rel_dir, oracle_con):
-        """An oversized key set never materializes on the driver: with the
-        cap forced to zero the pipeline auto-switches to the shuffle shape
-        and still returns the identical anti-join rows."""
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            customers_without_orders,
-        )
-
-        broadcast = customers_without_orders(SF).to_pandas()
-        shuffled = customers_without_orders(SF, max_broadcast_keys=0).to_pandas()
-        assert _value_hash(broadcast) == _value_hash(shuffled)
-        # and on the nasty corpus (dangling keys, boundary prices) too
-        b2 = customers_without_orders(nasty_rel_dir).to_pandas()
-        s2 = customers_without_orders(nasty_rel_dir, max_broadcast_keys=0).to_pandas()
-        assert _value_hash(b2) == _value_hash(s2)
 
 
 class TestHeavyHitters:
@@ -2308,43 +2068,6 @@ class TestNovelty:
         assert out.loc[4, "n_grams"] == 1 and out.loc[4, "n_novel"] == 1
 
 
-class TestWinsorize:
-    """Per-type quantile clipping: oracle parity + hand-checked band."""
-
-    def test_matches_oracle(self, ray_session, oracle_con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import windows  # noqa: F401
-
-        df = _check_against_oracle("events_winsorized", oracle_con)
-        assert len(df)
-
-    def test_clips_to_known_band(self, ray_session, tmp_path):
-        import datetime as dt
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.windows import events_winsorized
-
-        # 21 values 0..20 → h_lo=(20)(.05)=1.0 → p05=1.0; p95=19.0
-        base = dt.datetime(2024, 1, 1)
-        rows = [
-            {
-                "event_id": i,
-                "ts": base,
-                "user_id": 1,
-                "event_type": "t",
-                "value": float(i),
-                "props": "",
-            }
-            for i in range(21)
-        ]
-        pq.write_table(pa.Table.from_pylist(rows), tmp_path / "events.parquet")
-        out = events_winsorized(str(tmp_path)).to_pandas().set_index("event_id")
-        assert out.loc[0, "value_w"] == 1.0    # clipped up to p05
-        assert out.loc[20, "value_w"] == 19.0  # clipped down to p95
-        assert out.loc[10, "value_w"] == 10.0  # interior untouched
-
-
 class TestGroupedKMV:
     """Per-group KMV sketch: oracle parity + accuracy vs exact distinct."""
 
@@ -2404,40 +2127,6 @@ class TestContainment:
         # the same quote pair is invisible to jaccard at tau=0.5 (no pair
         # on this corpus clears it at all)
         assert jac.empty
-
-
-class TestQuantileInterpolationParity:
-    """The winsorize quantile must reproduce DuckDB's quantile_cont
-    bit-for-bit after 6-decimal rounding. The naive ``a + (b-a)·f``
-    interpolation — algebraically equal — flips the 6th decimal on ~0.4%
-    of random inputs; DuckDB's ``a·(CRN−RN) + b·(RN−FRN)`` shape is the
-    contract. 1,500 random arrays × 3 quantiles, zero divergence."""
-
-    def test_fuzz_against_duckdb(self):
-        import duckdb
-
-        def qcont(sorted_vals, q):
-            rn = (len(sorted_vals) - 1) * q
-            frn, crn = int(np.floor(rn)), int(np.ceil(rn))
-            if crn == frn:
-                return float(sorted_vals[frn])
-            return float(sorted_vals[frn] * (crn - rn) + sorted_vals[crn] * (rn - frn))
-
-        def round6(v):
-            return float(np.sign(v) * np.floor(abs(v) * 1e6 + 0.5) / 1e6)
-
-        con = duckdb.connect()
-        rng = np.random.default_rng(0)
-        for _ in range(1500):
-            n = int(rng.integers(1, 40))
-            vals = np.sort(np.round(rng.normal(0, 100, n), int(rng.integers(0, 8))))
-            for q in (0.05, 0.5, 0.95):
-                mine = round6(qcont(vals, q))
-                theirs = con.execute(
-                    f"SELECT round(quantile_cont(v, {q}), 6) FROM (SELECT unnest(?::DOUBLE[]) AS v)",
-                    [list(map(float, vals))],
-                ).fetchone()[0]
-                assert mine == theirs, (n, q, mine, theirs)
 
 
 class TestPCA:
@@ -2869,71 +2558,6 @@ class TestDriverTopkFold:
         assert out is None or len(out) == 0
 
 
-class TestLeftJoinCounts:
-    """Union + co-partition left join: zero-extension semantics."""
-
-    def test_matches_oracle_and_zero_extends(self, ray_session, oracle_con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import analytics  # noqa: F401
-
-        df = _check_against_oracle("customer_order_counts", oracle_con)
-        n_cust = oracle_con.execute("SELECT count(*) FROM customer").fetchone()[0]
-        assert len(df) == n_cust  # every customer present
-
-    def test_zero_extension(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            customer_order_counts,
-        )
-
-        pq.write_table(
-            pa.table({"c_custkey": pa.array([1, 2, 3], type=pa.int64())}),
-            tmp_path / "customer.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "o_orderkey": pa.array([10, 11, 12], type=pa.int64()),
-                    "o_custkey": pa.array([1, 1, 3], type=pa.int64()),
-                }
-            ),
-            tmp_path / "orders.parquet",
-        )
-        out = (
-            customer_order_counts(str(tmp_path)).to_pandas().set_index("c_custkey")
-        )
-        assert out["n_orders"].to_dict() == {1: 2, 2: 0, 3: 1}
-
-    def test_orphan_orders_dropped_like_left_join(self, ray_session, tmp_path):
-        """An o_custkey absent from customer never emits a row — exactly the
-        SQL LEFT JOIN's behavior (no FK-integrity assumption, ADVICE r3)."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            customer_order_counts,
-        )
-
-        pq.write_table(
-            pa.table({"c_custkey": pa.array([1, 2], type=pa.int64())}),
-            tmp_path / "customer.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "o_orderkey": pa.array([10, 11, 12], type=pa.int64()),
-                    "o_custkey": pa.array([1, 999, 999], type=pa.int64()),
-                }
-            ),
-            tmp_path / "orders.parquet",
-        )
-        out = (
-            customer_order_counts(str(tmp_path)).to_pandas().set_index("c_custkey")
-        )
-        assert out["n_orders"].to_dict() == {1: 1, 2: 0}
-
-
 class TestEmptyEmbeddings:
     """Embedding-family ops must return empty — not raise — on a zero-row
     embeddings table."""
@@ -2960,8 +2584,8 @@ class TestEmptyEmbeddings:
 
 
 class TestRound4SessionOps:
-    """Invariant pins for the HLL / segment-dedup / priority-sample /
-    semi-join family (value parity runs in the blanket oracle loop; these
+    """Invariant pins for the HLL / segment-dedup / priority-sample
+    family (value parity runs in the blanket oracle loop; these
     pin semantics the hash can't see)."""
 
     def test_hll_estimate_within_bound_of_truth(self, ray_session, oracle_con):
@@ -3046,85 +2670,8 @@ class TestRound4SessionOps:
         # priorities are emitted in rank order and weights ride unmodified
         assert (got["priority"].to_numpy()[:-1] >= got["priority"].to_numpy()[1:]).all()
 
-    def test_semi_join_reroutes_past_broadcast_cap(self, ray_session):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import orders_in_segment
-
-        broadcast = orders_in_segment(SF).to_pandas()
-        shuffled = orders_in_segment(SF, max_broadcast_keys=0).to_pandas()
-        assert _value_hash(broadcast) == _value_hash(shuffled)
-        assert len(broadcast) > 0
-
-
-class TestTpchQ3:
-    def test_matches_oracle_and_join_semantics(self, ray_session, oracle_con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import analytics  # noqa: F401
-
-        df = _check_against_oracle("tpch_q3_topk", oracle_con)
-        # inner-join semantics: every surviving order belongs to a segment
-        # customer, predates the cutoff, and has post-cutoff lineitems
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            Q3_CUTOFF,
-            SEMI_SEGMENT,
-        )
-
-        ok = oracle_con.execute(
-            f"""
-            SELECT count(*) FROM orders o
-            JOIN customer c ON c.c_custkey = o.o_custkey
-            WHERE o.o_orderkey IN ({",".join(map(str, df["o_orderkey"]))})
-              AND c.c_mktsegment = '{SEMI_SEGMENT}'
-              AND o.o_orderdate < TIMESTAMP '{Q3_CUTOFF}'
-            """
-        ).fetchone()[0]
-        assert ok == len(df)
-        assert (df["revenue_e2"] > 0).all()
-        # emitted in rank order
-        r = df["revenue_e2"].to_numpy()
-        assert (r[:-1] >= r[1:]).all()
-
-    def test_reroutes_past_broadcast_cap(self, ray_session):
-        """Past the key ceiling the customer filter becomes a custkey
-        co-partition exchange — identical rows, zero driver key state."""
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import tpch_q3_topk
-
-        broadcast = tpch_q3_topk(SF).to_pandas()
-        rerouted = tpch_q3_topk(SF, max_broadcast_keys=0).to_pandas()
-        assert _value_hash(broadcast) == _value_hash(rerouted)
-        assert len(broadcast) > 0
-
 
 class TestJoinAndCohortFamily:
-    def test_full_outer_surfaces_orphans_with_sentinel(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            customer_order_full_outer,
-        )
-
-        pq.write_table(
-            pa.table(
-                {
-                    "c_custkey": pa.array([1, 2], type=pa.int64()),
-                    "c_nationkey": pa.array([10, 20], type=pa.int32()),
-                }
-            ),
-            tmp_path / "customer.parquet",
-        )
-        pq.write_table(
-            pa.table({"o_custkey": pa.array([1, 1, 99], type=pa.int64())}),
-            tmp_path / "orders.parquet",
-        )
-        df = (
-            customer_order_full_outer(str(tmp_path))
-            .to_pandas()
-            .set_index("custkey")
-            .sort_index()
-        )
-        assert df.loc[1, "n_orders"] == 2 and df.loc[1, "c_nationkey"] == 10
-        assert df.loc[2, "n_orders"] == 0 and df.loc[2, "c_nationkey"] == 20
-        assert df.loc[99, "n_orders"] == 1 and df.loc[99, "c_nationkey"] == -1
-
     def test_grouped_hll_within_bound_of_truth(self, ray_session, oracle_con):
         from pdf_ocr_batch_ndrocr_lite_ray.pipelines.sketches import (
             events_distinct_users_hll_by_type,
@@ -3334,33 +2881,6 @@ class TestCountMin:
         assert (per_row == n_total).all()
 
 
-class TestTpchQ5:
-    def test_matches_oracle_and_star_semantics(self, ray_session, oracle_con):
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines import analytics  # noqa: F401
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import Q5_REGION
-
-        df = _check_against_oracle("tpch_q5_local_volume", oracle_con)
-        region_nations = {
-            r[0]
-            for r in oracle_con.execute(
-                f"""SELECT n_name FROM nation n JOIN region r
-                    ON n.n_regionkey = r.r_regionkey WHERE r.r_name = '{Q5_REGION}'"""
-            ).fetchall()
-        }
-        assert set(df["n_name"]) <= region_nations
-        assert (df["revenue_e2"] > 0).all()
-
-    def test_broadcast_ceiling_raises_before_reading(self, ray_session):
-        """Past-ceiling dimension tables fail loud from parquet metadata
-        (ADVICE r4: no unbounded driver state), naming the reroute."""
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            tpch_q5_local_volume,
-        )
-
-        with pytest.raises(ValueError, match="broadcast ceiling.*co-partition"):
-            tpch_q5_local_volume(SF, max_broadcast_keys=10)
-
-
 class TestOracleRetargeting:
     """oracle_sql_for re-targets cache-path oracles at any scale; the
     driver-facing oracle_sql() stays pinned to sf0.01 (ADVICE r4)."""
@@ -3372,7 +2892,7 @@ class TestOracleRetargeting:
         cache_names = queryset.cache_sql_names()
         assert "extract_flagship" in cache_names
         assert "conversation_texts" in cache_names
-        assert "tpch_q5_local_volume" not in cache_names
+        assert "events_burst_windows" not in cache_names
         small = queryset.oracle_sql_for("/root/testdata/sf0.001")
         for name in cache_names:
             # nothing pinned to the driver scale survives: neither a
@@ -3997,8 +3517,7 @@ class TestSourceDriftKs:
 
 
 class TestCompactionOps:
-    """X103-X104: chi-square independence and the reducible non-equi
-    semi-join."""
+    """X103: chi-square independence."""
 
     def _events_dir(self, tmp_path, rows):
         import pyarrow as pa
@@ -4055,68 +3574,6 @@ class TestCompactionOps:
         out2 = events_type_hour_chi2(self._events_dir(d2, rows2)).to_pandas()
         assert int(out2.loc[0, "chi2_e6"]) == 2_000_000  # chi2 == n == 2 exact
 
-    def test_late_shipment_reduction_equals_exists(self, ray_session, tmp_path):
-        """max(shipdate) reduction == EXISTS semantics on a handmade case
-        where only ONE of several lines crosses the threshold."""
-        import datetime as dt
-
-        import duckdb
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            ORDERS_LATE_SHIPMENT_SQL,
-            orders_late_shipment_priority,
-        )
-
-        d0 = dt.datetime(2024, 1, 1)
-        orders = pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], type=pa.int64()),
-                "o_custkey": pa.array([1, 1, 1], type=pa.int64()),
-                "o_orderstatus": pa.array(["F", "F", "F"]),
-                "o_totalprice": pa.array([1.0, 1.0, 1.0], type=pa.float64()),
-                "o_orderdate": pa.array([d0, d0, d0], type=pa.timestamp("us")),
-                "o_orderpriority": pa.array(["1-URGENT", "1-URGENT", "2-HIGH"]),
-            }
-        )
-        lines = pa.table(
-            {
-                "l_orderkey": pa.array([1, 1, 2, 3], type=pa.int64()),
-                "l_partkey": pa.array([1, 1, 1, 1], type=pa.int64()),
-                "l_suppkey": pa.array([1, 1, 1, 1], type=pa.int64()),
-                "l_linenumber": pa.array([1, 2, 1, 1], type=pa.int32()),
-                "l_quantity": pa.array([1.0] * 4, type=pa.float64()),
-                "l_extendedprice": pa.array([1.0] * 4, type=pa.float64()),
-                "l_discount": pa.array([0.0] * 4, type=pa.float64()),
-                "l_tax": pa.array([0.0] * 4, type=pa.float64()),
-                "l_returnflag": pa.array(["N"] * 4),
-                "l_linestatus": pa.array(["O"] * 4),
-                # order 1: one early + one late line -> late; order 2: exactly
-                # at +60d (NOT strictly greater) -> not late; order 3: early
-                "l_shipdate": pa.array(
-                    [
-                        d0 + dt.timedelta(days=1),
-                        d0 + dt.timedelta(days=61),
-                        d0 + dt.timedelta(days=60),
-                        d0 + dt.timedelta(days=2),
-                    ],
-                    type=pa.timestamp("us"),
-                ),
-            }
-        )
-        pq.write_table(orders, tmp_path / "orders.parquet")
-        pq.write_table(lines, tmp_path / "lineitem.parquet")
-        out = orders_late_shipment_priority(str(tmp_path)).to_pandas()
-        assert dict(zip(out["o_orderpriority"], out["n_late"])) == {"1-URGENT": 1}
-        con = duckdb.connect()
-        for t in ("orders", "lineitem"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')"
-            )
-        gold = con.execute(ORDERS_LATE_SHIPMENT_SQL).df()
-        assert _value_hash(out) == _value_hash(gold)
-
 
 class TestSnapshotAndGini:
     """X106 per-source Gini."""
@@ -4164,65 +3621,9 @@ class TestSnapshotAndGini:
 
 
 class TestSession5NullEdges:
-    """Review regressions: X104/X106 NULL- and zero-edge parity with
-    their DuckDB twins (the events-based X103 rides the shared
+    """Review regressions: X106 NULL- and zero-edge parity with its
+    DuckDB twin (the events-based X103 rides the shared
     TestNullEdgeParity fixture)."""
-
-    def test_late_shipment_null_dates_match_oracle(self, ray_session, tmp_path):
-        import datetime as dt
-
-        import duckdb
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            ORDERS_LATE_SHIPMENT_SQL,
-            orders_late_shipment_priority,
-        )
-
-        d0 = dt.datetime(2024, 1, 1)
-        orders = pa.table(
-            {
-                "o_orderkey": pa.array([1, 2, 3], type=pa.int64()),
-                "o_custkey": pa.array([1, 1, 1], type=pa.int64()),
-                "o_orderstatus": pa.array(["F", "F", "F"]),
-                "o_totalprice": pa.array([1.0, 1.0, 1.0], type=pa.float64()),
-                # order 1 has NULL orderdate (EXISTS predicate NULL -> never
-                # late); order 2's only shipdate is NULL (max NULL -> never
-                # late); order 3 is genuinely late
-                "o_orderdate": pa.array([None, d0, d0], type=pa.timestamp("us")),
-                "o_orderpriority": pa.array(["1-URGENT", "2-HIGH", "3-LOW"]),
-            }
-        )
-        lines = pa.table(
-            {
-                "l_orderkey": pa.array([1, 2, 3], type=pa.int64()),
-                "l_partkey": pa.array([1] * 3, type=pa.int64()),
-                "l_suppkey": pa.array([1] * 3, type=pa.int64()),
-                "l_linenumber": pa.array([1] * 3, type=pa.int32()),
-                "l_quantity": pa.array([1.0] * 3, type=pa.float64()),
-                "l_extendedprice": pa.array([1.0] * 3, type=pa.float64()),
-                "l_discount": pa.array([0.0] * 3, type=pa.float64()),
-                "l_tax": pa.array([0.0] * 3, type=pa.float64()),
-                "l_returnflag": pa.array(["N"] * 3),
-                "l_linestatus": pa.array(["O"] * 3),
-                "l_shipdate": pa.array(
-                    [d0 + dt.timedelta(days=90), None, d0 + dt.timedelta(days=90)],
-                    type=pa.timestamp("us"),
-                ),
-            }
-        )
-        pq.write_table(orders, tmp_path / "orders.parquet")
-        pq.write_table(lines, tmp_path / "lineitem.parquet")
-        out = orders_late_shipment_priority(str(tmp_path)).to_pandas()
-        assert dict(zip(out["o_orderpriority"], out["n_late"])) == {"3-LOW": 1}
-        con = duckdb.connect()
-        for t in ("orders", "lineitem"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')"
-            )
-        gold = con.execute(ORDERS_LATE_SHIPMENT_SQL).df()
-        assert _value_hash(out) == _value_hash(gold)
 
     def test_gini_all_zero_source_is_null_not_crash(self, ray_session, tmp_path):
         import duckdb
@@ -5296,75 +4697,6 @@ class TestDedupDegreeDistribution:
         assert _value_hash(out) == _value_hash(gold)
 
 
-class TestSupplierPareto:
-    """X150 Pareto point: a planted 80/20 split, exact rational crossing
-    (5*cum >= 4*T) at the boundary, tie-break inside the crossing bin,
-    DuckDB window parity."""
-
-    @staticmethod
-    def _lineitem(rows, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        pq.write_table(
-            pa.table(
-                {
-                    "l_suppkey": pa.array([r[0] for r in rows], pa.int64()),
-                    "l_extendedprice": pa.array([r[1] for r in rows], pa.float64()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-
-    def test_planted_concentration(self, ray_session, tmp_path):
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            supplier_pareto,
-        )
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-
-        # supplier 1: 80.0 exactly; suppliers 2..5: 5.0 each (T=100)
-        # -> supplier 1 alone crosses 5*80 >= 4*100 (equality edge)
-        rows = [(1, 50.0), (1, 30.0), (2, 5.0), (3, 5.0), (4, 5.0), (5, 5.0)]
-        self._lineitem(rows, tmp_path)
-        out = supplier_pareto(str(tmp_path)).iloc[0]
-        assert int(out["n_suppliers"]) == 5
-        assert int(out["n_top"]) == 1
-        assert int(out["top_share_e6"]) == 800_000
-        assert int(out["threshold_rev_e2"]) == 8000
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW lineitem AS SELECT * FROM "
-            f"read_parquet('{tmp_path}/lineitem.parquet')"
-        )
-        gold = con.execute(ORACLE_SQL["supplier_pareto"]).df()
-        assert _value_hash(out.to_frame().T.reset_index(drop=True)) == _value_hash(gold)
-
-    def test_uniform_tail_and_ties(self, ray_session, tmp_path):
-        import duckdb
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            supplier_pareto,
-        )
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-
-        # 10 equal suppliers: the 80% point needs exactly 8 of them,
-        # chosen by suppkey ASC among the all-tied revenues
-        rows = [(s, 10.0) for s in range(1, 11)]
-        self._lineitem(rows, tmp_path)
-        out = supplier_pareto(str(tmp_path)).iloc[0]
-        assert int(out["n_top"]) == 8
-        assert int(out["top_share_e6"]) == 800_000
-        con = duckdb.connect()
-        con.execute(
-            f"CREATE VIEW lineitem AS SELECT * FROM "
-            f"read_parquet('{tmp_path}/lineitem.parquet')"
-        )
-        gold = con.execute(ORACLE_SQL["supplier_pareto"]).df()
-        assert _value_hash(out.to_frame().T.reset_index(drop=True)) == _value_hash(gold)
-
-
 class TestOrdersPriorityMixDrift:
     """X151 categorical TVD: identical mixes -> 0, disjoint mixes -> 1e6,
     a hand-computed partial shift with unequal volumes, gap months
@@ -5778,64 +5110,6 @@ class TestDistinctSketchAudit:
         assert (out["hll_err_e6"].abs() < 400_000).all()
 
 
-class TestBrandReturnRate:
-    """X165 dimension-join rate: planted rates per brand, the
-    '(unmatched)' sentinel for orphan/NULL partkeys, DuckDB LEFT JOIN
-    parity."""
-
-    def test_rates_and_unmatched(self, ray_session, tmp_path):
-        import duckdb
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.analytics import (
-            brand_return_rate,
-        )
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-
-        pq.write_table(
-            pa.table(
-                {
-                    "p_partkey": pa.array([1, 2], pa.int64()),
-                    "p_name": pa.array(["a", "b"], pa.string()),
-                    "p_brand": pa.array(["B1", "B2"], pa.string()),
-                    "p_type": pa.array(["t", "t"], pa.string()),
-                    "p_size": pa.array([1, 1], pa.int64()),
-                    "p_retailprice": pa.array([1.0, 1.0], pa.float64()),
-                }
-            ),
-            tmp_path / "part.parquet",
-        )
-        rows = [
-            (1, "R"), (1, "N"), (1, "R"), (1, "A"),  # B1: 2/4 returned
-            (2, "N"), (2, "N"),                       # B2: 0/2
-            (99, "R"),                                # orphan partkey
-            (None, "N"),                              # NULL partkey
-        ]
-        pq.write_table(
-            pa.table(
-                {
-                    "l_partkey": pa.array([r[0] for r in rows], pa.int64()),
-                    "l_returnflag": pa.array([r[1] for r in rows], pa.string()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-        out = brand_return_rate(str(tmp_path)).set_index("p_brand")
-        assert int(out.loc["B1", "rate_e6"]) == 500_000
-        assert int(out.loc["B2", "rate_e6"]) == 0
-        assert int(out.loc["(unmatched)", "n_lines"]) == 2
-        assert int(out.loc["(unmatched)", "n_returned"]) == 1
-        con = duckdb.connect()
-        for t in ("part", "lineitem"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM "
-                f"read_parquet('{tmp_path}/{t}.parquet')"
-            )
-        gold = con.execute(ORACLE_SQL["brand_return_rate"]).df()
-        assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-
 class TestSplitBalanceAudit:
     """X166 holdout-balance QA: the corpus split independence matches the
     nested oracle exactly; a deliberately SOURCE-CORRELATED split fixture
@@ -6182,96 +5456,6 @@ class TestJoinSkewAudit:
             )
         gold = con.execute(ORACLE_SQL["join_skew_audit"]).df()
         assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-
-class TestPartSupplierHHI:
-    """X172: hand-computed HHI per part, single-source share, unmatched
-    sentinel, null drops; DuckDB parity."""
-
-    def test_hand_computed(self, ray_session, tmp_path):
-        import duckdb
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.diagnostics import (
-            part_supplier_hhi,
-        )
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.queryset import ORACLE_SQL
-
-        # part 1 (brand A): suppliers 60/40 -> HHI = .36+.16 = .52
-        # part 2 (brand A): single supplier -> HHI 1.0, single-sourced
-        # part 9 (not in part table): -> (unmatched), single
-        # one all-null row dropped
-        pq.write_table(
-            pa.table(
-                {
-                    "l_partkey": pa.array([1, 1, 2, 9, None], pa.int64()),
-                    "l_suppkey": pa.array([11, 12, 11, 13, 11], pa.int64()),
-                    "l_extendedprice": pa.array(
-                        [6.0, 4.0, 5.0, 2.0, None], pa.float64()
-                    ),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "p_partkey": pa.array([1, 2], pa.int64()),
-                    "p_brand": pa.array(["A", "A"], pa.string()),
-                }
-            ),
-            tmp_path / "part.parquet",
-        )
-        out = part_supplier_hhi(str(tmp_path)).set_index("p_brand")
-        a = out.loc["A"]
-        assert int(a["n_parts"]) == 2
-        # mean of 520000 and 1000000 = 760000
-        assert int(a["avg_hhi_e6"]) == 760_000
-        assert int(a["single_supplier_e6"]) == 500_000
-        u = out.loc["(unmatched)"]
-        assert int(u["n_parts"]) == 1
-        assert int(u["avg_hhi_e6"]) == 1_000_000
-        assert int(u["single_supplier_e6"]) == 1_000_000
-        con = duckdb.connect()
-        for t in ("lineitem", "part"):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM "
-                f"read_parquet('{tmp_path}/{t}.parquet')"
-            )
-        gold = con.execute(ORACLE_SQL["part_supplier_hhi"]).df()
-        assert _value_hash(out.reset_index()) == _value_hash(gold)
-
-    def test_overflow_guard(self, ray_session, tmp_path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import pytest as _pytest
-
-        from pdf_ocr_batch_ndrocr_lite_ray.pipelines.diagnostics import (
-            part_supplier_hhi,
-        )
-
-        pq.write_table(
-            pa.table(
-                {
-                    "l_partkey": pa.array([1, 1], pa.int64()),
-                    "l_suppkey": pa.array([11, 12], pa.int64()),
-                    "l_extendedprice": pa.array([2.0e7, 2.0e7], pa.float64()),
-                }
-            ),
-            tmp_path / "lineitem.parquet",
-        )
-        pq.write_table(
-            pa.table(
-                {
-                    "p_partkey": pa.array([1], pa.int64()),
-                    "p_brand": pa.array(["A"], pa.string()),
-                }
-            ),
-            tmp_path / "part.parquet",
-        )
-        with _pytest.raises(Exception, match="int64-square guard"):
-            part_supplier_hhi(str(tmp_path))
 
 
 class TestLineitemQuantityKruskal:
